@@ -126,11 +126,11 @@ harness void M() {
 	a = {| 1 | 2 | 3 | 0 - 1 |};
 	assert a > 0;
 }
-`, "M", Options{})
+`, "M", Options{MaxSolutions: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sk.Enumerate(10)
+	rs, err := sk.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 		par        = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (use 1 for deterministic paper-comparable runs)")
 		noPOR      = flag.Bool("nopor", false, "disable the verifier's partial-order reduction (ablation)")
 		noSym      = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction (ablation)")
-		compress   = flag.String("compress", "", "verifier visited-set compression: collapse or bitstate (forces sequential verification)")
+		compress   = flag.String("compress", "", "verifier visited-set representation: collapse (exact, component-interned; forces sequential verification)")
 		pipeline   = flag.Bool("pipeline", true, "overlap speculative solves with verification (needs -j > 1)")
 		share      = flag.Bool("share-clauses", true, "share learned clauses between SAT portfolio workers (needs -j > 1)")
 		proof      = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
@@ -50,9 +50,8 @@ func main() {
 		heapSample = flag.Int("heap-sample", 1, "sample the heap high-water mark every N CEGIS iterations (0 = once per run)")
 		cubes      = flag.Int("cubes", 0, "run every test cube-and-conquer with N cubes racing (0/1 = single engine)")
 		cubeWork   = flag.Int("cube-workers", 0, "concurrent cube engines under -cubes (0 = one per cube)")
-		dumpSketch = flag.String("dump-sketch", "", "print the sketch source of benchmark NAME[:test] and exit (feeds psketch -serve-cubes)")
+		dumpSketch = flag.String("dump-sketch", "", "print the sketch source of benchmark NAME[:test] and exit (a .psk file for psketch or a psketchd job)")
 		rankEmit   = flag.Bool("rank-emitted", false, "emit each winning candidate as Go and measure its load-harness throughput (needs the go tool)")
-		maxSol     = flag.Int("max-solutions", 0, "enumerate-all bound recorded in the report header (psketch/pskemit -max-solutions)")
 	)
 	flag.Parse()
 	if *dumpSketch != "" {
@@ -156,8 +155,8 @@ func main() {
 		NoSymmetry: *noSym, MCCompress: *compress,
 		NoPipeline: !*pipeline, NoShareClauses: !*share, Proof: *proof,
 		Cubes: *cubes, CubeWorkers: *cubeWork,
-		RankEmitted: *rankEmit, MaxSolutions: *maxSol,
-		Trace: tr, Metrics: met, HeapSampleEvery: *heapSample,
+		RankEmitted: *rankEmit,
+		Trace:       tr, Metrics: met, HeapSampleEvery: *heapSample,
 	}
 	if *verbose {
 		opts.Verbose = func(format string, args ...any) {
@@ -201,11 +200,11 @@ func main() {
 
 // dumpSketchSource prints the complete sketch text of one benchmark
 // row ("lazyset" or "lazyset:ar(ar|ar)"; the default test is the
-// benchmark's first) so a multi-process cube run can be driven from
-// the Table 1 grid without checked-in .psk copies:
+// benchmark's first) so the other tools can be driven from the Table 1
+// grid without checked-in .psk copies:
 //
-//	pskbench -dump-sketch 'lazyset:ar(ar|ar)' > lazyset.psk
-//	psketch -serve-cubes 127.0.0.1:7331 -cubes 4 lazyset.psk
+//	pskbench -dump-sketch 'queueE1:ed(ee|dd)' > queueE1.psk
+//	psketch -intwidth 6 -loopbound 5 -emit-dir emitted queueE1.psk
 func dumpSketchSource(spec string) error {
 	name, test, _ := strings.Cut(spec, ":")
 	for _, b := range append(sketches.All(), sketches.Extras()...) {

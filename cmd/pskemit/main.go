@@ -1,16 +1,13 @@
-// Command pskemit emits verified sketch candidates as compilable
-// concurrent Go and ranks them by measured throughput:
+// Command pskemit ranks the Go packages a `psketch -emit-dir` run
+// emitted by measured throughput:
 //
-//	pskemit [flags] file.psk      synthesize, emit every verified candidate, rank
-//	pskemit -dir out/             re-rank a saved -emit-dir verdict (no synthesis)
+//	psketch -emit-dir out/ file.psk   # enumerate, emit, save out/manifest.json
+//	pskemit -dir out/                 # build, load-test, and rank every candidate
 //
-// In file mode pskemit is `psketch -emit-dir -rank` with the ranking
-// knobs exposed: it enumerates all verified completions (bounded by
-// -max-solutions), lowers each distinct one to a Go package under
-// -out, builds every package, drives its generated load harness, and
-// prints candidates fastest first. In -dir mode it reloads the
-// manifest.json an earlier emit run saved and re-measures without
-// re-synthesizing — the saved-verdict path.
+// It reloads the manifest.json the emit run saved, builds every
+// candidate package, drives its generated load harness, prints the
+// candidates fastest first, and records the measurements in the
+// manifest. No synthesis runs: the manifest is the saved verdict.
 package main
 
 import (
@@ -25,105 +22,38 @@ import (
 
 func main() {
 	var (
-		dir        = flag.String("dir", "", "re-rank a saved -emit-dir directory (manifest.json) instead of synthesizing")
-		out        = flag.String("out", "emitted", "output directory for emitted candidate packages (file mode)")
-		target     = flag.String("target", "", "harness/implements function to synthesize (default: autodetect)")
-		intWidth   = flag.Int("intwidth", 5, "bit width of int values")
-		holeWidth  = flag.Int("holewidth", 3, "default bit width of ?? holes")
-		loopBound  = flag.Int("loopbound", 4, "while-loop unroll bound")
-		maxSol     = flag.Int("max-solutions", 8, "enumerate-all bound (block verified candidates and re-solve until UNSAT or N solutions)")
-		par        = flag.Int("j", 0, "solver/verifier parallelism (0 = all cores, 1 = deterministic)")
+		dir        = flag.String("dir", "", "the psketch -emit-dir directory to rank (holds manifest.json)")
 		goroutines = flag.Int("goroutines", 8, "load-harness goroutines per measurement")
 		durMS      = flag.Int("duration-ms", 500, "measurement window per run, milliseconds")
 		runs       = flag.Int("runs", 3, "measurement runs per candidate (best is kept)")
 		mix        = flag.String("mix", "", "comma-separated op mix override for the load harness (default: the sketch harness mix)")
 		jsonOut    = flag.Bool("json", false, "print measurements as JSON instead of text")
-		verbose    = flag.Bool("v", false, "per-iteration synthesis progress")
 	)
 	flag.Parse()
-
-	ropts := psketch.RankOptions{
+	if *dir == "" || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: pskemit [flags] -dir out/")
+		os.Exit(1)
+	}
+	man, ms, err := psketch.RankEmitted(*dir, psketch.RankOptions{
 		Goroutines: *goroutines,
 		Duration:   time.Duration(*durMS) * time.Millisecond,
 		Runs:       *runs,
 		Mix:        *mix,
-	}
-
-	if *dir != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: pskemit -dir out/ (no file argument in re-rank mode)")
-			os.Exit(1)
-		}
-		man, ms, err := psketch.RankEmitted(*dir, ropts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report(man.Sketch, ms, *jsonOut)
-		os.Exit(0)
-	}
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: pskemit [flags] file.psk  (or: pskemit -dir out/)")
-		os.Exit(1)
-	}
-	src, err := os.ReadFile(flag.Arg(0))
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	opts := psketch.Options{
-		IntWidth:     *intWidth,
-		HoleWidth:    *holeWidth,
-		LoopBound:    *loopBound,
-		MaxSolutions: *maxSol,
-		Parallelism:  *par,
-	}
-	if *verbose {
-		opts.Verbose = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	tgt := *target
-	if tgt == "" {
-		tgt, err = psketch.DetectTarget(string(src))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	sk, err := psketch.Compile(string(src), tgt, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rs, ms, err := sk.SynthesizeRanked(*out, ropts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if len(rs) == 0 {
-		fmt.Println("NO — the sketch cannot be resolved")
-		os.Exit(2)
-	}
-	report(tgt, ms, *jsonOut)
-	if !*jsonOut {
-		fmt.Printf("\n// ---- fastest candidate ----\n\n%s", rs[0].Code)
-	}
-}
-
-// report prints the ranked measurements.
-func report(sketch string, ms []psketch.Measurement, asJSON bool) {
-	if asJSON {
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(struct {
 			Sketch string                `json:"sketch"`
 			Ranked []psketch.Measurement `json:"ranked"`
-		}{sketch, ms})
+		}{man.Sketch, ms})
 		return
 	}
-	fmt.Printf("// %s: %d candidate(s), fastest first\n", sketch, len(ms))
+	fmt.Printf("// %s: %d candidate(s), fastest first\n", man.Sketch, len(ms))
 	for i, m := range ms {
 		if m.Err != "" {
 			fmt.Printf("// #%d %s: FAILED (%s)\n", i+1, m.Dir, m.Err)

@@ -31,11 +31,10 @@ func main() {
 		maxStates = flag.Int("maxstates", 0, "model-checker state budget (0 = default)")
 		verbose   = flag.Bool("v", false, "per-iteration progress")
 		showCount = flag.Bool("count", false, "print |C| and exit")
-		all       = flag.Int("all", 0, "enumerate up to N distinct solutions (0 = first only)")
 		traces    = flag.Int("traces", 1, "counterexample traces per CEGIS iteration")
 		par       = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (1 = deterministic)")
 		noSym     = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction")
-		compress  = flag.String("compress", "", "verifier visited-set compression: collapse or bitstate (forces sequential search)")
+		compress  = flag.String("compress", "", "verifier visited-set representation: collapse (exact, component-interned; forces sequential search)")
 		pipeline  = flag.Bool("pipeline", true, "overlap speculative solves with verification (needs -j > 1)")
 		share     = flag.Bool("share-clauses", true, "share learned clauses between SAT portfolio workers (needs -j > 1)")
 		proof     = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
@@ -43,28 +42,10 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve live /metrics and /debug/pprof on this address")
 		cubes     = flag.Int("cubes", 0, "split the candidate space into N cubes and race them (cube-and-conquer; 0/1 = off)")
 		cubeWork  = flag.Int("cube-workers", 0, "concurrent cube engines under -cubes (0 = one per cube)")
-		serve     = flag.String("serve-cubes", "", "coordinate a multi-process cube run on this address (e.g. 127.0.0.1:7331); pair with psketch -join")
-		serveLoc  = flag.Int("serve-local", 1, "in-process cube engines the -serve-cubes coordinator runs alongside joiners")
-		join      = flag.String("join", "", "join a -serve-cubes coordinator at this address and run cubes it hands out (no file argument)")
-		emitDir   = flag.String("emit-dir", "", "enumerate all verified candidates and emit each as a compilable Go package under this directory")
-		rank      = flag.Bool("rank", false, "with -emit-dir: go build each emitted candidate, run its load harness, and order candidates by measured ops/sec")
-		maxSol    = flag.Int("max-solutions", 8, "enumerate-all bound for -emit-dir (block verified candidates and re-solve until UNSAT or N solutions)")
+		maxSol    = flag.Int("max-solutions", 0, "enumerate up to N distinct verified solutions (block each and re-solve until UNSAT) and print them; 0 = the first only, or 8 with -emit-dir")
+		emitDir   = flag.String("emit-dir", "", "enumerate verified solutions (bounded by -max-solutions) and emit each distinct one as a compilable Go package under this directory; rank them with pskemit -dir")
 	)
 	flag.Parse()
-	if *join != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: psketch -join host:port (the sketch arrives over the wire)")
-			os.Exit(1)
-		}
-		vf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-		if err := psketch.JoinCubes(*join, vf); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: psketch [flags] file.psk")
 		os.Exit(1)
@@ -163,8 +144,11 @@ func main() {
 		fmt.Printf("|C| = %s\n", sk.CandidateCount())
 		exit(0)
 	}
-	if *all > 0 {
-		rs, err := sk.Enumerate(*all)
+	if *emitDir != "" {
+		exit(runEmit(sk, *emitDir))
+	}
+	if *maxSol > 0 {
+		rs, err := sk.Enumerate()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
@@ -185,27 +169,15 @@ func main() {
 		}
 		exit(0)
 	}
-	if *emitDir != "" {
-		code := runEmit(sk, *emitDir, *rank)
-		exit(code)
-	}
-	var res *psketch.Result
-	if *serve != "" {
-		if opts.Cubes < 2 {
-			opts.Cubes = 2 // serving implies a split; default to the minimum
-		}
-		res, err = psketch.ServeCubes(*serve, string(src), tgt, *serveLoc, opts)
-	} else {
-		res, err = sk.Synthesize()
-	}
+	res, err := sk.Synthesize()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
 	if res.Cube != nil && *verbose {
 		for _, pc := range res.Cube.PerCube {
-			fmt.Fprintf(os.Stderr, "cube %d: resolved=%v exhausted=%v canceled=%v remote=%v stolen=%v iters=%d remote_traces=%d pruned=%d\n",
-				pc.ID, pc.Resolved, pc.Exhausted, pc.Canceled, pc.Remote, pc.Stolen,
+			fmt.Fprintf(os.Stderr, "cube %d: resolved=%v exhausted=%v canceled=%v stolen=%v iters=%d remote_traces=%d pruned=%d\n",
+				pc.ID, pc.Resolved, pc.Exhausted, pc.Canceled, pc.Stolen,
 				pc.Stats.Iterations, pc.RemoteTraces, pc.PrunedByRemote)
 		}
 	}
@@ -226,33 +198,10 @@ func autodetectTarget(src string) (string, error) {
 	return psketch.DetectTarget(src)
 }
 
-// runEmit drives the -emit-dir pipeline: enumerate all verified
-// candidates, lower each distinct one to a Go package under dir, and
-// (with -rank) order them by measured throughput. Returns the exit
-// code.
-func runEmit(sk *psketch.Sketch, dir string, rank bool) int {
-	if rank {
-		rs, ms, err := sk.SynthesizeRanked(dir, psketch.RankOptions{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if len(rs) == 0 {
-			fmt.Println("NO — the sketch cannot be resolved")
-			return 2
-		}
-		fmt.Printf("// %d distinct verified candidate(s) emitted under %s, ranked by measured ops/sec\n", len(rs), dir)
-		for i, m := range ms {
-			if m.Err != "" {
-				fmt.Printf("// #%d %s: FAILED (%s)\n", i+1, m.Dir, m.Err)
-				continue
-			}
-			fmt.Printf("// #%d %s: %.0f ops/sec (%d ops, build %dms)\n", i+1, m.Dir, m.OpsPerSec, m.Ops, m.BuildMS)
-		}
-		fmt.Printf("\n// ---- fastest candidate ----\n\n%s", rs[0].Code)
-		return 0
-	}
-	rs, dirs, err := sk.SynthesizeEmit(dir)
+// runEmit drives -emit-dir: enumerate verified candidates and lower
+// each distinct one to a Go package under dir. Returns the exit code.
+func runEmit(sk *psketch.Sketch, dir string) int {
+	rs, err := sk.Enumerate()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -261,9 +210,15 @@ func runEmit(sk *psketch.Sketch, dir string, rank bool) int {
 		fmt.Println("NO — the sketch cannot be resolved")
 		return 2
 	}
-	fmt.Printf("// %d distinct verified candidate(s) emitted under %s\n", len(rs), dir)
-	for i, d := range dirs {
-		fmt.Printf("// %s (%d iteration(s))\n", d, rs[i].Stats.Iterations)
+	man, err := sk.Emit(dir, rs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	fmt.Printf("// %d distinct verified candidate(s) emitted under %s; rank them with pskemit -dir %s\n",
+		len(man.Candidates), dir, dir)
+	for _, d := range man.CandidateDirs(dir) {
+		fmt.Printf("// %s\n", d)
 	}
 	return 0
 }

@@ -33,7 +33,7 @@ func main() {
 		par        = flag.Int("j", runtime.GOMAXPROCS(0), "search parallelism (1 = deterministic DFS)")
 		noPOR      = flag.Bool("nopor", false, "disable the partial-order reduction (soundness cross-checks)")
 		noSym      = flag.Bool("nosym", false, "disable the thread-symmetry reduction")
-		compress   = flag.String("compress", "", "visited-set compression: collapse or bitstate (forces sequential search)")
+		compress   = flag.String("compress", "", "visited-set representation: collapse (exact, component-interned; forces sequential search)")
 		timeout    = flag.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -4,16 +4,7 @@
 //
 //	psktrace run.jsonl             # phase totals, time tree, iterations
 //	psktrace -top 20 run.jsonl     # widen the hottest-spans table
-//	psktrace coord.jsonl w1.jsonl  # merge multiple journals first
 //	psktrace -diff old.jsonl new.jsonl
-//	psktrace -diff old.jsonl c.jsonl,w1.jsonl,w2.jsonl
-//
-// Multiple positional journals (and comma-separated members of a -diff
-// side) are merged before summarizing: span IDs are offset per input
-// and metrics trailers fold (sums add, high-water marks max), which is
-// how the per-process journals of a distributed cube run — the
-// psketch -serve-cubes coordinator plus each -join worker — combine
-// into one report.
 //
 // The summary cross-checks the span tree against the journal's metrics
 // trailer: per-phase wall-clock reconstructed from spans must agree
@@ -26,28 +17,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"psketch/internal/obs"
 )
 
 func main() {
 	var (
-		diff = flag.Bool("diff", false, "compare two journals or journal groups (old new; comma-separate group members)")
+		diff = flag.Bool("diff", false, "compare two journals (old new)")
 		top  = flag.Int("top", 10, "number of hottest spans to list")
 	)
 	flag.Parse()
 	if *diff {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: psktrace -diff old.jsonl new.jsonl (comma-separate merged group members)")
+			fmt.Fprintln(os.Stderr, "usage: psktrace -diff old.jsonl new.jsonl")
 			os.Exit(2)
 		}
-		old, err := readGroup(flag.Arg(0))
+		old, err := readJournal(flag.Arg(0))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "psktrace:", err)
 			os.Exit(2)
 		}
-		new, err := readGroup(flag.Arg(1))
+		new, err := readJournal(flag.Arg(1))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "psktrace:", err)
 			os.Exit(2)
@@ -55,35 +45,16 @@ func main() {
 		obs.Diff(os.Stdout, old, new)
 		return
 	}
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: psktrace [-top N] run.jsonl [more.jsonl ...] | psktrace -diff old.jsonl new.jsonl")
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: psktrace [-top N] run.jsonl | psktrace -diff old.jsonl new.jsonl")
 		os.Exit(2)
 	}
-	js := make([]*obs.Journal, 0, flag.NArg())
-	for _, path := range flag.Args() {
-		j, err := readJournal(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psktrace:", err)
-			os.Exit(2)
-		}
-		js = append(js, j)
+	j, err := readJournal(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "psktrace:", err)
+		os.Exit(2)
 	}
-	obs.Summarize(os.Stdout, obs.MergeJournals(js...), *top)
-}
-
-// readGroup reads one -diff side: a single journal, or several
-// comma-separated ones merged (a distributed run's process set).
-func readGroup(arg string) (*obs.Journal, error) {
-	paths := strings.Split(arg, ",")
-	js := make([]*obs.Journal, 0, len(paths))
-	for _, p := range paths {
-		j, err := readJournal(p)
-		if err != nil {
-			return nil, err
-		}
-		js = append(js, j)
-	}
-	return obs.MergeJournals(js...), nil
+	obs.Summarize(os.Stdout, j, *top)
 }
 
 func readJournal(path string) (*obs.Journal, error) {

@@ -4,7 +4,9 @@ import "testing"
 
 // Force the CEGIS loop through counterexample traces: the first SAT
 // model (all zero bits) picks the racy branch, which must be refuted by
-// a trace, and learning must converge on the atomic one.
+// a trace, and learning must converge on the atomic one. The first
+// model is the deterministic -j 1 solver's; a portfolio worker may
+// guess the atomic branch first, so the trajectory is pinned to -j 1.
 func TestConcurrentLearning(t *testing.T) {
 	src := `
 int counter = 0;
@@ -27,7 +29,7 @@ harness void Main() {
 	assert counter == 4;
 }
 `
-	res, err := Synthesize(src, "Main", Options{Verbose: t.Logf})
+	res, err := Synthesize(src, "Main", Options{Parallelism: 1, Verbose: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package psketch
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,11 +36,11 @@ func queueE1Sketch(t *testing.T, opts Options) *Sketch {
 	return sk
 }
 
-// candidateSet runs enumerate-all mode and returns the verified
-// candidate set as a sorted slice of candidate strings.
+// candidateSet runs Enumerate and returns the verified candidate set
+// as a sorted slice of candidate strings.
 func candidateSet(t *testing.T, opts Options) []string {
 	t.Helper()
-	rs, err := queueE1Sketch(t, opts).SynthesizeAll()
+	rs, err := queueE1Sketch(t, opts).Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func candidateSet(t *testing.T, opts Options) []string {
 	for _, r := range rs {
 		key := CandidateString(r.Candidate)
 		if seen[key] {
-			t.Fatalf("SynthesizeAll returned duplicate candidate %s", key)
+			t.Fatalf("Enumerate returned duplicate candidate %s", key)
 		}
 		seen[key] = true
 		set = append(set, key)
@@ -79,16 +80,22 @@ func TestEnumerateAllInvariantAcrossConfigs(t *testing.T) {
 	}
 }
 
-// SynthesizeEmit writes one compilable package per distinct verified
-// candidate plus a manifest that RankEmitted can reload.
+// Emit over Enumerate's results writes one compilable package per
+// distinct verified candidate plus a manifest that RankEmitted can
+// reload.
 func TestSynthesizeEmitManifest(t *testing.T) {
 	dir := t.TempDir()
 	sk := queueE1Sketch(t, Options{Parallelism: 1})
-	rs, dirs, err := sk.SynthesizeEmit(dir)
+	rs, err := sk.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) == 0 || len(rs) != len(dirs) {
+	man, err := sk.Emit(dir, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := man.CandidateDirs(dir)
+	if len(rs) == 0 || len(dirs) == 0 || len(dirs) > len(rs) {
 		t.Fatalf("got %d results, %d dirs", len(rs), len(dirs))
 	}
 	for _, d := range dirs {
@@ -98,11 +105,15 @@ func TestSynthesizeEmitManifest(t *testing.T) {
 			}
 		}
 	}
-	man, err := ReadEmitManifest(dir)
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Sketch == "" || len(man.Candidates) != len(dirs) {
-		t.Fatalf("manifest: sketch %q, %d candidates, want %d", man.Sketch, len(man.Candidates), len(dirs))
+	var saved EmitManifest
+	if err := json.Unmarshal(b, &saved); err != nil {
+		t.Fatal(err)
+	}
+	if saved.Sketch == "" || len(saved.Candidates) != len(dirs) {
+		t.Fatalf("manifest: sketch %q, %d candidates, want %d", saved.Sketch, len(saved.Candidates), len(dirs))
 	}
 }

@@ -82,11 +82,11 @@ harness void Main() {
 `
 
 func main() {
-	sk, err := psketch.Compile(src, "Main", psketch.Options{IntWidth: 6, LoopBound: 5})
+	sk, err := psketch.Compile(src, "Main", psketch.Options{IntWidth: 6, LoopBound: 5, MaxSolutions: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := sk.Enumerate(8)
+	rs, err := sk.Enumerate()
 	if err != nil {
 		log.Fatal(err)
 	}

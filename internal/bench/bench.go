@@ -114,8 +114,7 @@ type Options struct {
 	// (ablation; on by default).
 	NoSymmetry bool
 	// MCCompress selects the verifier's visited-set representation
-	// ("", "collapse", or "bitstate"; non-empty forces the verifier
-	// sequential).
+	// ("" or "collapse"; "collapse" forces the verifier sequential).
 	MCCompress string
 	// NoPipeline disables the speculative solve/verify overlap
 	// (ablation; on by default at Parallelism > 1).
@@ -144,13 +143,9 @@ type Options struct {
 	// RankEmitted, after each resolved test, lowers the winning
 	// candidate to a Go package (internal/emit), builds it, runs its
 	// generated load harness, and records the measured ops/sec in
-	// Row.Throughput / Stats.Throughput. Needs the go tool on PATH;
-	// when it is missing the column stays zero and the sweep goes on.
+	// Row.Throughput. Needs the go tool on PATH; when it is missing the
+	// column stays zero and the sweep goes on.
 	RankEmitted bool
-	// MaxSolutions is recorded in the report header alongside
-	// RankEmitted (the enumerate-all bound the emit pipeline ran
-	// with); it does not change the sweep itself.
-	MaxSolutions int
 }
 
 // logBig computes log10 of a big integer.
@@ -359,7 +354,6 @@ func rankEmitted(sk *desugar.Sketch, res *core.Result, row *Row, opts Options) {
 	if err != nil || len(ms) == 0 || ms[0].Err != "" {
 		return
 	}
-	res.Stats.Throughput = ms[0].OpsPerSec
 	row.Throughput = ms[0].OpsPerSec
 }
 

@@ -280,9 +280,6 @@ func compareOptions(g *GateResult, b, c jsonOptions) {
 	if b.RankEmitted != c.RankEmitted {
 		g.warnf("config: rank_emitted %v vs baseline %v — throughput columns not comparable", c.RankEmitted, b.RankEmitted)
 	}
-	if b.MaxSolutions != c.MaxSolutions && b.MaxSolutions != 0 && c.MaxSolutions != 0 {
-		g.warnf("config: max_solutions %d vs baseline %d", c.MaxSolutions, b.MaxSolutions)
-	}
 	if b.GoVersion != "" && c.GoVersion != "" && b.GoVersion != c.GoVersion {
 		g.warnf("config: %s vs baseline %s", c.GoVersion, b.GoVersion)
 	}

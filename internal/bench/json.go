@@ -94,16 +94,15 @@ type jsonOptions struct {
 	Proof       bool `json:"proof,omitempty"`
 	Cubes       int  `json:"cubes,omitempty"`
 	CubeWorkers int  `json:"cube_workers,omitempty"`
-	// Emit/rank knobs: throughput numbers are only comparable between
-	// runs that measured the same way, so the gate needs them recorded
-	// like the reduction knobs.
-	RankEmitted  bool   `json:"rank_emitted,omitempty"`
-	MaxSolutions int    `json:"max_solutions,omitempty"`
-	GoVersion    string `json:"go_version,omitempty"`
-	GOOS         string `json:"goos,omitempty"`
-	GOARCH       string `json:"goarch,omitempty"`
-	NumCPU       int    `json:"num_cpu,omitempty"`
-	GOMAXPROCS   int    `json:"gomaxprocs,omitempty"`
+	// Throughput numbers are only comparable between runs that measured
+	// the same way, so the gate needs the emit/rank knob recorded like
+	// the reduction knobs.
+	RankEmitted bool   `json:"rank_emitted,omitempty"`
+	GoVersion   string `json:"go_version,omitempty"`
+	GOOS        string `json:"goos,omitempty"`
+	GOARCH      string `json:"goarch,omitempty"`
+	NumCPU      int    `json:"num_cpu,omitempty"`
+	GOMAXPROCS  int    `json:"gomaxprocs,omitempty"`
 }
 
 // jsonReport is the top-level document pskbench -json writes.
@@ -133,7 +132,6 @@ func WriteJSON(path string, rows []Row, opts Options) error {
 	rep.Options.Cubes = opts.Cubes
 	rep.Options.CubeWorkers = opts.CubeWorkers
 	rep.Options.RankEmitted = opts.RankEmitted
-	rep.Options.MaxSolutions = opts.MaxSolutions
 	rep.Options.GoVersion = runtime.Version()
 	rep.Options.GOOS = runtime.GOOS
 	rep.Options.GOARCH = runtime.GOARCH

@@ -49,16 +49,11 @@ import (
 type Options struct {
 	// MaxIterations bounds the CEGIS loop (default 256).
 	MaxIterations int
-	// MaxSolutions bounds enumerate-all mode (EnumerateAll): keep
-	// blocking verified candidates and re-solving until UNSAT or this
-	// many solutions (default 8). The paper's §8.3.1 autotuning hook,
-	// bounded.
-	MaxSolutions int
 	// Block rules out candidates before synthesis starts: each entry
 	// gets a blocking clause exactly as Exclude would add after a
 	// solution. Blocking clauses are whole-space facts, so they stay
-	// sound under cube assumptions — internal/cube uses this to resume
-	// enumeration across independently cubed re-solves.
+	// sound under cube assumptions — cube-mode enumeration uses this to
+	// resume across independently cubed re-solves.
 	Block []desugar.Candidate
 	// MCMaxStates bounds the model checker (default 4,000,000).
 	MCMaxStates int
@@ -78,8 +73,8 @@ type Options struct {
 	// reduction (on by default; see mc.Options.NoSymmetry).
 	NoSymmetry bool
 	// MCCompress selects the model checker's visited-set representation:
-	// "" (exact fingerprint table), "collapse", or "bitstate". Non-empty
-	// modes force the verifier sequential (see mc.Options.Compress).
+	// "" (exact fingerprint table) or "collapse", which forces the
+	// verifier sequential (see mc.Options.Compress).
 	MCCompress string
 	// NoPipeline disables the speculative synthesize/verify overlap of
 	// the concurrent engine (on by default at Parallelism > 1; the
@@ -187,17 +182,14 @@ type Options struct {
 // CubeLit fixes one bit of one hole: bit Bit of hole Hole takes value
 // Val throughout this synthesizer's cube.
 type CubeLit struct {
-	Hole int  `json:"hole"`
-	Bit  int  `json:"bit"`
-	Val  bool `json:"val"`
+	Hole int
+	Bit  int
+	Val  bool
 }
 
 func (o Options) defaults() Options {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 256
-	}
-	if o.MaxSolutions == 0 {
-		o.MaxSolutions = 8
 	}
 	if o.MCMaxStates == 0 {
 		o.MCMaxStates = 4_000_000
@@ -290,10 +282,6 @@ type Stats struct {
 	ProofChecked int
 	ProofCore    int
 	ProofCheck   time.Duration
-	// Throughput is the candidate's measured ops/sec from the emitted
-	// Go load harness (internal/emit ranking pass); zero when the
-	// candidate was never emitted and measured.
-	Throughput float64
 }
 
 // ErrCanceled is returned by Synthesize when Options.Cancel fired
@@ -1552,11 +1540,4 @@ func (s *Synthesizer) Enumerate(max int) ([]*Result, error) {
 		s.Exclude(r.Candidate)
 	}
 	return out, nil
-}
-
-// EnumerateAll is enumerate-all-solutions mode: block each verified
-// candidate and re-solve until the space is UNSAT, bounded by
-// Options.MaxSolutions.
-func (s *Synthesizer) EnumerateAll() ([]*Result, error) {
-	return s.Enumerate(s.opts.MaxSolutions)
 }

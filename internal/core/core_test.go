@@ -105,7 +105,9 @@ int f(int[3] xs) implements spec {
 	}
 }
 
-// Concurrent CEGIS statistics should populate the Figure 9 columns.
+// Concurrent CEGIS statistics should populate the Figure 9 columns. The
+// two-iteration trajectory (racy branch refuted, then the atomic one)
+// is the deterministic -j 1 engine's, so the run is pinned to it.
 func TestConcurrentStats(t *testing.T) {
 	syn := build(t, `
 int g = 0;
@@ -121,7 +123,7 @@ harness void M() {
 	}
 	assert g == 2;
 }
-`, "M", desugar.Options{}, Options{})
+`, "M", desugar.Options{}, Options{Parallelism: 1})
 	res, err := syn.Synthesize()
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,8 @@
 // Package cube implements cube-and-conquer distributed CEGIS: the
 // hole/generator space is split on a few high-fanout decision bits
-// into 2^k disjoint cubes, an independent CEGIS engine races each cube
-// (in-process goroutines, or OS processes over the localhost protocol
-// in remote.go), the first verified YES cancels everyone else, and
-// per-cube UNSATs merge into a whole-space NO backed by one DRAT
-// certificate.
+// into 2^k disjoint cubes, an independent in-process CEGIS engine races
+// each cube, the first verified YES cancels everyone else, and per-cube
+// UNSATs merge into a whole-space NO backed by one DRAT certificate.
 //
 // # Soundness
 //
@@ -20,7 +18,7 @@
 //     (project.Bus) and enter the merged proof as legitimate premises.
 //  3. The setup encoding is deterministic: all cubes allocate an
 //     identical SAT-variable prefix (core.SetupVars, cross-checked at
-//     worker start), which keys both the bus filter and the per-cube
+//     engine start), which keys both the bus filter and the per-cube
 //     DRAT namespaces of the merged certificate.
 //
 // The merged certificate closes with a top-level resolution over the
@@ -72,8 +70,8 @@ type Options struct {
 
 // BitRef names one hole bit chosen as a cube variable.
 type BitRef struct {
-	Hole int `json:"hole"`
-	Bit  int `json:"bit"`
+	Hole int
+	Bit  int
 }
 
 // PerCube reports one cube's outcome.
@@ -84,14 +82,13 @@ type PerCube struct {
 	Exhausted bool
 	Canceled  bool
 	// Stolen marks a cube run by a worker that had already finished
-	// another cube (queue stealing), Remote one that ran in a joined
-	// process.
+	// another cube (queue stealing).
 	Stolen bool
-	Remote bool
 	Stats  core.Stats
-	// RemoteTraces counts projections this cube imported from others;
-	// PrunedByRemote counts iterations where an imported projection
-	// refuted the cube's held candidate before it was ever verified.
+	// RemoteTraces counts projections this cube imported from other
+	// cubes; PrunedByRemote counts iterations where an imported
+	// projection refuted the cube's held candidate before it was ever
+	// verified.
 	RemoteTraces   int64
 	PrunedByRemote int64
 }
@@ -189,8 +186,7 @@ func Assign(bits []BitRef, i int) []core.CubeLit {
 }
 
 // run is the shared coordinator state of one cube-and-conquer
-// execution, driven by in-process workers (Synthesize) and/or remote
-// connections (Serve).
+// execution, driven by its in-process workers.
 type run struct {
 	sk       *desugar.Sketch
 	opts     Options
@@ -213,10 +209,6 @@ type run struct {
 	met  *obs.Metrics
 
 	queue chan int
-	// doneCh closes when the race is decided (first verified YES, first
-	// error, or parent cancellation); remote connection handlers select
-	// on it to push cancel messages to their joiners.
-	doneCh chan struct{}
 
 	mu             sync.Mutex
 	winner         int
@@ -229,26 +221,23 @@ type run struct {
 	exhausted      int
 	stolen         int64
 	parentCanceled bool
-	outcomes       chan struct{} // one push per finished cube
 }
 
 func newRun(sk *desugar.Sketch, opts Options) (*run, error) {
 	bits := Split(sk.Holes, opts.Cubes)
 	n := 1 << uint(len(bits))
 	r := &run{
-		sk:       sk,
-		opts:     opts,
-		bits:     bits,
-		n:        n,
-		winner:   -1,
-		tr:       opts.Core.Trace,
-		met:      opts.Core.Metrics,
-		per:      make([]PerCube, n),
-		cancels:  make([]*atomic.Bool, n),
-		queue:    make(chan int, n),
-		doneCh:   make(chan struct{}),
-		outcomes: make(chan struct{}, n),
-		tbus:     project.NewBus(),
+		sk:      sk,
+		opts:    opts,
+		bits:    bits,
+		n:       n,
+		winner:  -1,
+		tr:      opts.Core.Trace,
+		met:     opts.Core.Metrics,
+		per:     make([]PerCube, n),
+		cancels: make([]*atomic.Bool, n),
+		queue:   make(chan int, n),
+		tbus:    project.NewBus(),
 	}
 	if r.met == nil {
 		r.met = obs.NewMetrics()
@@ -291,10 +280,7 @@ func newRun(sk *desugar.Sketch, opts Options) (*run, error) {
 // cancelAll stops every running cube (idempotent).
 func (r *run) cancelAll() {
 	r.mu.Lock()
-	if !r.done {
-		r.done = true
-		close(r.doneCh)
-	}
+	r.done = true
 	for _, c := range r.cancels {
 		if c != nil {
 			c.Store(true)
@@ -325,8 +311,7 @@ func (r *run) decided() bool {
 
 // cubeOpts builds the core options one cube engine runs with. met is
 // the cube's private registry; sink is non-nil when proof logging is
-// on (in-process cubes log through a Namespace of the master recorder;
-// remote cubes log locally and ship the log).
+// on (each cube logs through a Namespace of the master recorder).
 func (r *run) cubeOpts(id int, tok *atomic.Bool, met *obs.Metrics, sink drat.Sink, parent obs.SpanID) core.Options {
 	copts := r.opts.Core
 	copts.Prog = r.prog
@@ -347,10 +332,10 @@ func (r *run) cubeOpts(id int, tok *atomic.Bool, met *obs.Metrics, sink drat.Sin
 // race. The first resolver wins; late resolvers (already-running cubes
 // that beat the cancellation signal) are recorded but do not replace
 // the winner.
-func (r *run) finishResolved(id int, cand desugar.Candidate, st core.Stats, stolen, remote bool) {
+func (r *run) finishResolved(id int, cand desugar.Candidate, st core.Stats, stolen bool) {
 	r.mu.Lock()
 	pc := &r.per[id]
-	pc.Resolved, pc.Stolen, pc.Remote, pc.Stats = true, stolen, remote, st
+	pc.Resolved, pc.Stolen, pc.Stats = true, stolen, st
 	if stolen {
 		r.stolen++
 	}
@@ -360,20 +345,19 @@ func (r *run) finishResolved(id int, cand desugar.Candidate, st core.Stats, stol
 	}
 	r.mu.Unlock()
 	r.cancelAll()
-	r.outcomes <- struct{}{}
 }
 
 // finishExhausted records a definitive per-cube NO: the cube's
 // refutation clause joins the merged proof (RUP — the engine's UNSAT
 // verdict under exactly these assumption literals), and when the last
 // cube exhausts, the caller's merge closes the certificate.
-func (r *run) finishExhausted(id int, st core.Stats, last *mc.Trace, stolen, remote bool, remTraces, pruned int64) {
+func (r *run) finishExhausted(id int, st core.Stats, last *mc.Trace, stolen bool, remTraces, pruned int64) {
 	if r.rec != nil {
 		r.rec.AddLemma(drat.CubeClause(r.cubeVars, id))
 	}
 	r.mu.Lock()
 	pc := &r.per[id]
-	pc.Exhausted, pc.Stolen, pc.Remote, pc.Stats = true, stolen, remote, st
+	pc.Exhausted, pc.Stolen, pc.Stats = true, stolen, st
 	pc.RemoteTraces, pc.PrunedByRemote = remTraces, pruned
 	if stolen {
 		r.stolen++
@@ -383,7 +367,6 @@ func (r *run) finishExhausted(id int, st core.Stats, last *mc.Trace, stolen, rem
 	}
 	r.exhausted++
 	r.mu.Unlock()
-	r.outcomes <- struct{}{}
 }
 
 // fail records a cube error and cancels the race.
@@ -394,22 +377,20 @@ func (r *run) fail(id int, err error) {
 	}
 	r.mu.Unlock()
 	r.cancelAll()
-	r.outcomes <- struct{}{}
 }
 
 // finishCanceled records a cube torn down by the race ending.
-func (r *run) finishCanceled(id int, stolen, remote bool) {
+func (r *run) finishCanceled(id int, stolen bool) {
 	r.mu.Lock()
 	pc := &r.per[id]
-	pc.Canceled, pc.Stolen, pc.Remote = true, stolen, remote
+	pc.Canceled, pc.Stolen = true, stolen
 	r.mu.Unlock()
-	r.outcomes <- struct{}{}
 }
 
 // foldMetrics merges a finished cube's private registry into the
 // coordinator's: sums add, high-water marks max. This keeps a journal
 // trailer written from the parent registry meaningful for the whole
-// distributed run.
+// cube run.
 func (r *run) foldMetrics(met *obs.Metrics) {
 	for name, v := range met.Snapshot() {
 		if obs.HighWaterCounters[name] {
@@ -454,14 +435,14 @@ func (r *run) runCube(id int, tok *atomic.Bool, stolen bool) {
 	switch {
 	case err == nil && res.Resolved:
 		endSpan("resolved")
-		r.finishResolved(id, res.Candidate, res.Stats, stolen, false)
+		r.finishResolved(id, res.Candidate, res.Stats, stolen)
 	case err == nil:
 		endSpan("exhausted")
-		r.finishExhausted(id, res.Stats, res.LastTrace, stolen, false,
+		r.finishExhausted(id, res.Stats, res.LastTrace, stolen,
 			met.Counter("cube.remote_traces").Get(), met.Counter("cube.pruned_by_remote").Get())
 	case err == core.ErrCanceled || r.decided():
 		endSpan("canceled")
-		r.finishCanceled(id, stolen, false)
+		r.finishCanceled(id, stolen)
 	default:
 		endSpan("error")
 		r.fail(id, err)

@@ -133,24 +133,6 @@ func (n *Namespace) DeleteLemma(lits []int) {
 	n.mu.Unlock()
 }
 
-// Export snapshots the log as plain clause lists: the premises, and
-// the addition steps in stamp order (deletions are dropped — sound, it
-// only leaves more clauses available — because the importer merges
-// this log with others'). This is how a remote cube worker ships its
-// derivation to the coordinator, which replays it into the master
-// Recorder through a Namespace.
-func (r *Recorder) Export() (premises, lemmas [][]int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	premises = append([][]int(nil), r.premises...)
-	for _, s := range r.steps {
-		if !s.del {
-			lemmas = append(lemmas, s.lits)
-		}
-	}
-	return premises, lemmas
-}
-
 // CubeClause returns the refutation clause of cube index i over the
 // given cube variables (positive DIMACS indices): the negation of the
 // assignment in which bit j of i gives vars[j]'s polarity. When cube

@@ -18,7 +18,10 @@ func TestNamespaceRemap(t *testing.T) {
 	n2.AddLemma([]int{3, 4})     // n2's 4 is a DIFFERENT solver's var → its own fresh image
 	n1.AddLemma([]int{2, -4})    // stable mapping within n1
 
-	_, lemmas := r.Export()
+	var lemmas [][]int
+	for _, s := range r.steps {
+		lemmas = append(lemmas, s.lits)
+	}
 	if len(lemmas) != 4 {
 		t.Fatalf("got %d lemmas, want 4", len(lemmas))
 	}
@@ -81,24 +84,6 @@ func TestCubeTreeShape(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CubeTree = %v, want %v", got, want)
-	}
-}
-
-// Export keeps premises apart from lemmas, preserves stamp order, and
-// drops deletions (sound: more clauses stay available to the merge).
-func TestExportDropsDeletions(t *testing.T) {
-	r := NewRecorder()
-	r.Attach()
-	r.AddPremise([]int{1, 2})
-	r.AddLemma([]int{1})
-	r.DeleteLemma([]int{1})
-	r.AddLemma([]int{2})
-	prem, lem := r.Export()
-	if len(prem) != 1 || prem[0][0] != 1 {
-		t.Fatalf("premises: %v", prem)
-	}
-	if !reflect.DeepEqual(lem, [][]int{{1}, {2}}) {
-		t.Fatalf("lemmas: %v", lem)
 	}
 }
 

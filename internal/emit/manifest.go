@@ -9,7 +9,7 @@ import (
 
 // Manifest is the saved verdict an emit run leaves at the emit root:
 // which sketch was synthesized and which candidate directories were
-// written. pskemit -dir reloads it to re-rank without re-synthesizing.
+// written. pskemit -dir reloads it to rank them without re-synthesizing.
 type Manifest struct {
 	// Sketch is the harness (or sketch file) the candidates came from.
 	Sketch string `json:"sketch"`

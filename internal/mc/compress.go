@@ -15,14 +15,6 @@ import "psketch/internal/state"
 // default fingerprint table this is exact: it compares full state
 // contents, so it doubles as a hash-collision cross-check for the
 // default mode in tests.
-//
-// "bitstate" (SPIN's bitstate hashing / supertrace) stores no state at
-// all: two bits of a large bit array, addressed by the two fingerprint
-// streams, stand in for each visited state. A state is taken as
-// visited when both bits are already set, so hash aliasing can silently
-// prune unexplored states: verdicts lose their completeness guarantee
-// (a reported counterexample is still a real, replayable schedule).
-// It is strictly opt-in and meant for memory-bound exploratory runs.
 
 // colEntry carries the same per-state bookkeeping as fpTable.
 type colEntry struct {
@@ -104,38 +96,6 @@ func (c *collapseTab) bytes() uint64 {
 	keyLen := uint64(4 * (1 + len(c.blocks)))
 	return c.interned + uint64(len(c.entries))*(keyLen+16+32)
 }
-
-// bitstate is the bitstate-hashing visited set: nbits is a power of
-// two.
-type bitstate struct {
-	words []uint64
-	nbits uint64
-}
-
-// newBitstate sizes the array at ~64 bits per budgeted state (SPIN's
-// rule of thumb for a low false-positive rate), clamped to [8 MiB,
-// 512 MiB].
-func newBitstate(maxStates int) *bitstate {
-	nbits := uint64(1) << 26
-	for nbits < uint64(maxStates)*64 && nbits < 1<<32 {
-		nbits <<= 1
-	}
-	return &bitstate{words: make([]uint64, nbits/64), nbits: nbits}
-}
-
-// visit marks the state's two bits and reports whether it was fresh
-// (either bit previously clear).
-func (b *bitstate) visit(h1, h2 uint64) bool {
-	i1, i2 := h1&(b.nbits-1), h2&(b.nbits-1)
-	w1, m1 := i1>>6, uint64(1)<<(i1&63)
-	w2, m2 := i2>>6, uint64(1)<<(i2&63)
-	seen := b.words[w1]&m1 != 0 && b.words[w2]&m2 != 0
-	b.words[w1] |= m1
-	b.words[w2] |= m2
-	return !seen
-}
-
-func (b *bitstate) bytes() uint64 { return uint64(len(b.words)) * 8 }
 
 // bytes estimates the fingerprint table's live memory.
 func (t *fpTable) bytes() uint64 {

@@ -36,8 +36,8 @@
 // with an incrementally maintained Zobrist hash (updated from each
 // step's touched footprint, not recomputed), and Options.Compress can
 // swap the fingerprint table for a SPIN-style collapse-compressed exact
-// table or a lossy bitstate filter; see ARCHITECTURE.md's state-space
-// reduction stack section for how the pieces interact.
+// table; see ARCHITECTURE.md's state-space reduction stack section for
+// how the pieces interact.
 //
 // # Concurrency contract
 //
@@ -135,13 +135,10 @@ type Options struct {
 	// off whenever a Hook is set.
 	NoSymmetry bool
 	// Compress selects the visited-set representation: "" (default)
-	// is the exact open-addressed fingerprint table, "collapse" interns
-	// state components SPIN-style and keys on id tuples (exact, full
-	// contents compared), and "bitstate" is SPIN's supertrace — two
-	// bits per state, which can silently prune states on hash aliasing
-	// and so trades the completeness guarantee for memory (reported
-	// counterexamples remain real schedules). Compression forces the
-	// sequential search.
+	// is the exact open-addressed fingerprint table, and "collapse"
+	// interns state components SPIN-style and keys on id tuples (exact,
+	// full contents compared, so it doubles as a hash-collision
+	// cross-check). Compression forces the sequential search.
 	Compress string
 	// MaxTraces asks the search to keep going after the first
 	// counterexample and return up to this many distinct failing
@@ -214,10 +211,8 @@ func Check(l *state.Layout, cand desugar.Candidate, opts Options) (*Result, erro
 		m.tab = newFpTable()
 	case "collapse":
 		m.col = newCollapse(l)
-	case "bitstate":
-		m.bst = newBitstate(opts.MaxStates)
 	default:
-		return nil, fmt.Errorf("mc: unknown Compress mode %q (want \"\", \"collapse\" or \"bitstate\")", opts.Compress)
+		return nil, fmt.Errorf("mc: unknown Compress mode %q (want \"\" or \"collapse\")", opts.Compress)
 	}
 	m.initEval()
 	m.span = opts.Tracer.Start("mc.check", opts.ParentSpan)
@@ -277,8 +272,6 @@ func (m *checker) finishResult(res *Result) {
 	switch {
 	case m.col != nil:
 		res.VisitedBytes = m.col.bytes()
-	case m.bst != nil:
-		res.VisitedBytes = m.bst.bytes()
 	case m.tab != nil:
 		res.VisitedBytes = m.tab.bytes()
 	}
@@ -330,7 +323,6 @@ type checker struct {
 	// the memory estimate).
 	tab      *fpTable
 	col      *collapseTab
-	bst      *bitstate
 	pvisited *stripedSet
 
 	states int
@@ -547,18 +539,13 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 		ch1, ch2, act = m.sym.canonKey(st, h1, h2)
 	}
 
-	// Visited lookup through the selected backend. Bitstate stores no
-	// per-state masks: a seen state is never re-expanded, a fresh one
-	// explores its full persistent set minus the local sleep set.
+	// Visited lookup through the selected backend.
 	var idx int
 	var ce *colEntry
 	var fresh bool
-	switch {
-	case m.bst != nil:
-		fresh = m.bst.visit(ch1, ch2)
-	case m.col != nil:
+	if m.col != nil {
 		ce, fresh = m.col.slot(m.canonState(st, act))
-	default:
+	} else {
 		idx, fresh = m.tab.slot(key16(ch1, ch2))
 	}
 	if !fresh && act != nil {
@@ -598,18 +585,6 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 			haveWork = true
 		}
 	}
-	if m.bst != nil {
-		if !fresh || !haveWork {
-			return nil
-		}
-		m.sleepSkips += int64(bits.OnesCount64(pmaskLocal & sleep))
-		todo := pmaskLocal &^ sleep
-		if todo == 0 {
-			return nil
-		}
-		return m.exploreTodo(st, todo, sleep, path, h1, h2)
-	}
-
 	// Stored masks live in the canonical frame: translate local masks
 	// in with act's thread map, translate the claimed work back out.
 	if fresh && haveWork {

@@ -73,7 +73,6 @@ func TestCompressModesAgree(t *testing.T) {
 		for _, o := range []Options{
 			{NoSymmetry: true},
 			{Compress: "collapse"},
-			{Compress: "bitstate"},
 			{Compress: "collapse", NoPOR: true},
 			{Parallelism: 4},
 		} {

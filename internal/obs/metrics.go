@@ -51,6 +51,19 @@ func (c *Counter) Get() int64 {
 	return c.v.Load()
 }
 
+// HighWaterCounters names the registry counters that record peaks
+// rather than sums. Code that folds one registry into another — cube
+// workers merging their private registries into the coordinator's —
+// must Max these and Add the rest, or a four-worker run would report
+// four times the real heap high-water.
+var HighWaterCounters = map[string]bool{
+	"heap.max_bytes":   true,
+	"mc.visited_bytes": true,
+	"mc.sym_classes":   true,
+	"sat.vars":         true,
+	"sat.clauses":      true,
+}
+
 // Metrics is a registry of named counters: get-or-create by name, then
 // update lock-free. The expvar-style Snapshot serializes a consistent-
 // enough view for the debug endpoint and the journal trailer. A nil

@@ -15,20 +15,19 @@ import "sync"
 // The bus is unbounded (unlike sat.Bus's clause ring): there are at
 // most MaxIterations × TracesPerIteration projections per cube per
 // run, every one of them is expensive model-checker output worth
-// keeping, and batches are immutable after Publish, so late consumers
-// — a cube worker started by stealing, a remote joiner — replay the
-// full history from cursor zero.
+// keeping, and batches are immutable after Publish, so a late consumer
+// — a cube worker started by stealing — replays the full history from
+// cursor zero.
 type Bus struct {
 	mu      sync.Mutex
 	batches []Batch
 }
 
 // Batch is one published projection, tagged with the cube that
-// discovered it so the origin never reimports its own work. Remote
-// relays use origins outside the local cube range.
+// discovered it so the origin never reimports its own work.
 type Batch struct {
-	Origin  int     `json:"origin"`
-	Entries []Entry `json:"entries"`
+	Origin  int
+	Entries []Entry
 }
 
 // NewBus returns an empty exchange.

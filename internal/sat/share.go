@@ -128,9 +128,7 @@ func (b *Bus) Fetch(from uint64, self int) ([][]Lit, uint64) {
 	return b.pool.fetch(from, self)
 }
 
-// TaggedClause pairs a relayed clause with its origin cube (the
-// multi-process relay of internal/cube preserves origins across the
-// wire so nothing is ever echoed back to its producer).
+// TaggedClause pairs a relayed clause with its origin cube.
 type TaggedClause struct {
 	Origin int
 	Lits   []Lit

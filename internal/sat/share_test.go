@@ -338,9 +338,8 @@ func TestBusPrefixFilter(t *testing.T) {
 	}
 }
 
-// FetchTagged preserves producer origins (the multi-process relay
-// depends on them to avoid echoing clauses back) and clamps a stale
-// cursor to the surviving ring just like fetch.
+// FetchTagged preserves producer origins and clamps a stale cursor to
+// the surviving ring just like fetch.
 func TestBusFetchTagged(t *testing.T) {
 	b := NewBus(8)
 	b.Publish(2, []Lit{MkLit(0, false)})

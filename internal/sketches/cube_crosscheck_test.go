@@ -1,9 +1,7 @@
 package sketches
 
 import (
-	"net"
 	"testing"
-	"time"
 
 	"psketch/internal/core"
 	"psketch/internal/cube"
@@ -15,9 +13,9 @@ import (
 
 // This file cross-checks cube-and-conquer CEGIS against the
 // whole-space engine: on Table 1 the verdict must be identical under
-// {cubes=1, cubes=4 in-process, multi-process serve/join}, every
-// resolved candidate must independently model check, and every cube-
-// mode NO must come with a merged DRAT certificate that replayed.
+// {cubes=1, cubes=4}, every resolved candidate must independently
+// model check, and every cube-mode NO must come with a merged DRAT
+// certificate that replayed.
 // Candidates may differ between modes — several correct completions
 // can exist — so the check is verdict + verification, not bitwise
 // equality (except for the sequential pin below).
@@ -92,104 +90,6 @@ func TestCubeCrossCheckAllSketches(t *testing.T) {
 			}
 		})
 	}
-}
-
-// serveJoin runs one benchmark across two OS-level roles in-process:
-// a coordinator serving the cube queue over localhost TCP and a joiner
-// connecting to it — the same code paths psketch -serve-cubes and
-// psketch -join execute.
-func serveJoin(t *testing.T, b *Benchmark, test string, proof bool, localWorkers int) *cube.Result {
-	t.Helper()
-	src, err := b.Source(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	type out struct {
-		res *cube.Result
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		res, err := cube.Serve(addr, cube.RemoteOptions{
-			Src: src, Target: "Main", Desugar: b.Opts(test),
-		}, cube.Options{
-			Cubes: 4, Workers: localWorkers, Proof: proof,
-			Core: core.Options{Parallelism: 1, NoPipeline: true},
-		}, t.Logf)
-		ch <- out{res, err}
-	}()
-	time.Sleep(300 * time.Millisecond)
-	joinErr := make(chan error, 1)
-	go func() { joinErr <- cube.Join(addr, t.Logf) }()
-
-	o := <-ch
-	if o.err != nil {
-		t.Fatal(o.err)
-	}
-	if err := <-joinErr; err != nil {
-		t.Errorf("join: %v", err)
-	}
-	remote := 0
-	for _, pc := range o.res.PerCube {
-		t.Logf("cube %d: resolved=%v exhausted=%v canceled=%v remote=%v stolen=%v iters=%d remtr=%d pruned=%d",
-			pc.ID, pc.Resolved, pc.Exhausted, pc.Canceled, pc.Remote, pc.Stolen,
-			pc.Stats.Iterations, pc.RemoteTraces, pc.PrunedByRemote)
-		if pc.Remote {
-			remote++
-		}
-	}
-	if remote == 0 {
-		t.Error("no cube ran on the joiner")
-	}
-	return o.res
-}
-
-// An UNSAT row distributed across coordinator and joiner must still
-// produce one merged, replayed DRAT certificate covering the cubes
-// that ran in the other process.
-func TestCubeRemoteUnsatCertified(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full UNSAT refutation in every cube; CI's distributed smoke job covers this cross-process")
-	}
-	b := LazySet()
-	test := "ar(ar|ar)"
-	if b.Resolvable[test] {
-		t.Fatal("test row must be UNSAT")
-	}
-	res := serveJoin(t, b, test, true, 1)
-	if res.Resolved {
-		t.Fatal("want NO")
-	}
-	if res.Certificate == nil || res.Stats.ProofChecked == 0 {
-		t.Fatalf("distributed NO without a replayed merged certificate: cert=%v checked=%d",
-			res.Certificate != nil, res.Stats.ProofChecked)
-	}
-}
-
-// A resolvable row distributed the same way must agree on YES, and the
-// winning candidate — possibly synthesized in the other process — must
-// model check locally.
-func TestCubeRemoteResolves(t *testing.T) {
-	b := QueueE1()
-	test := b.Tests[0]
-	if !b.Resolvable[test] {
-		t.Fatal("test row must be resolvable")
-	}
-	// No local workers: the joiner must synthesize the winner, proving
-	// candidates travel back over the wire intact.
-	res := serveJoin(t, b, test, false, 0)
-	if !res.Resolved {
-		t.Fatal("want YES")
-	}
-	sk := compile(t, b, test)
-	verifyCandidate(t, sk, res.Candidate, "remote")
 }
 
 // cube.Synthesize with Cubes=1 at -j 1 must be byte-identical to the

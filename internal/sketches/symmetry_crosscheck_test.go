@@ -36,7 +36,6 @@ func TestSymmetryCrossCheckAllSketches(t *testing.T) {
 				{NoSymmetry: true},
 				{},
 				{Compress: "collapse"},
-				{Compress: "bitstate"},
 				{Parallelism: 4},
 			} {
 				res := mcCheck(t, l, cand, o)

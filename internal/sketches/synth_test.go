@@ -244,12 +244,15 @@ func TestProjectionSoundnessQueueE1(t *testing.T) {
 // The full lazy list (both ops' locks sketched): the concurrent ar|ar
 // workload must be resolvable with two locks — the contrast to the
 // single-lock NO. Uses multi-trace learning to keep the run short.
+// The run grows to ~10M SAT clauses; each SAT portfolio worker holds
+// its own copy, so the verdict is taken at Parallelism 1 (~3 GiB peak
+// RSS), where one copy exists.
 func TestLazyFullARAR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
 	sk := compile(t, LazyFull(), "(ar|ar)")
-	syn, err := core.New(sk, core.Options{TracesPerIteration: 8})
+	syn, err := core.New(sk, core.Options{TracesPerIteration: 8, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,9 +69,8 @@ type Options struct {
 	Encoding Encoding
 	// MaxIterations bounds the CEGIS loop (default 256).
 	MaxIterations int
-	// MaxSolutions bounds enumerate-all mode (SynthesizeAll and the
-	// -emit-dir/-rank pipeline): verified candidates are blocked and
-	// the space re-solved until UNSAT or this many solutions
+	// MaxSolutions bounds Enumerate: verified candidates are blocked
+	// and the space re-solved until UNSAT or this many solutions
 	// (default 8).
 	MaxSolutions int
 	// MCMaxStates bounds the model checker (default 4,000,000).
@@ -92,10 +91,8 @@ type Options struct {
 	// reduction (on by default; see ARCHITECTURE.md).
 	NoSymmetry bool
 	// MCCompress selects the model checker's visited-set representation:
-	// "" (exact fingerprint table, the default), "collapse" (exact,
-	// component-interned), or "bitstate" (lossy supertrace; verdicts lose
-	// their completeness guarantee). Non-empty modes force the verifier
-	// sequential.
+	// "" (exact fingerprint table, the default) or "collapse" (exact,
+	// component-interned). "collapse" forces the verifier sequential.
 	MCCompress string
 	// NoPipeline disables the speculative solve/verify overlap of the
 	// concurrent CEGIS engine (on by default at Parallelism > 1).
@@ -213,7 +210,6 @@ func (s *Sketch) coreOpts() core.Options {
 		Warm:               s.opts.Warm,
 		WarmKey:            s.warmKey,
 		MaxIterations:      s.opts.MaxIterations,
-		MaxSolutions:       s.opts.MaxSolutions,
 		MCMaxStates:        s.opts.MCMaxStates,
 		TracesPerIteration: s.opts.TracesPerIteration,
 		Parallelism:        s.opts.Parallelism,
@@ -299,7 +295,8 @@ func (s *Sketch) Synthesize() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return s.cubeResult(r)
+		return s.result(&Result{Resolved: r.Resolved, Candidate: r.Candidate, Stats: r.Stats,
+			Certificate: r.Certificate, Cube: r})
 	}
 	syn, err := core.New(s.sk, s.coreOpts())
 	if err != nil {
@@ -314,15 +311,7 @@ func (s *Sketch) Synthesize() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Resolved: r.Resolved, Candidate: r.Candidate, Stats: r.Stats, Certificate: r.Certificate}
-	if r.Resolved {
-		code, err := printer.Program(s.sk, r.Candidate)
-		if err != nil {
-			return nil, err
-		}
-		out.Code = code
-	}
-	return out, nil
+	return s.result(&Result{Resolved: r.Resolved, Candidate: r.Candidate, Stats: r.Stats, Certificate: r.Certificate})
 }
 
 // cubeOpts derives the cube coordinator options: proof moves from the
@@ -354,12 +343,11 @@ func (s *Sketch) cubeOpts() cube.Options {
 	}
 }
 
-// cubeResult maps a merged cube outcome onto the public Result.
-func (s *Sketch) cubeResult(r *cube.Result) (*Result, error) {
-	out := &Result{Resolved: r.Resolved, Candidate: r.Candidate, Stats: r.Stats,
-		Certificate: r.Certificate, Cube: r}
-	if r.Resolved {
-		code, err := printer.Program(s.sk, r.Candidate)
+// result completes an engine outcome: a resolved one gets its
+// pretty-printed program.
+func (s *Sketch) result(out *Result) (*Result, error) {
+	if out.Resolved {
+		code, err := printer.Program(s.sk, out.Candidate)
 		if err != nil {
 			return nil, err
 		}
@@ -444,40 +432,43 @@ func DetectTarget(src string) (string, error) {
 	return "", fmt.Errorf("psketch: multiple synthesis targets (%v); pick one with -target", targets)
 }
 
-// ServeCubes runs the coordinator side of a multi-process
-// cube-and-conquer synthesis: it splits the sketch's candidate space
-// into Options.Cubes cubes, listens on addr (localhost JSON-line
-// protocol, see internal/cube), dispatches cubes to joining psketch
-// -join processes alongside localWorkers in-process engines, and
-// returns the merged verdict. Under Options.Proof a NO verdict carries
-// the merged, replayed DRAT certificate.
-func ServeCubes(addr, src, target string, localWorkers int, opts Options) (*Result, error) {
-	sk, err := Compile(src, target, opts)
-	if err != nil {
-		return nil, err
+// Enumerate returns up to Options.MaxSolutions (default 8) distinct
+// verified completions of the sketch — the §8.3.1 autotuning hook:
+// synthesize many candidates, then pick the best by measurement (Emit,
+// then RankEmitted). Each verified candidate is blocked and the space
+// re-solved until UNSAT or the bound. Under Options.Cubes > 1 each
+// re-solve is its own cube-and-conquer run with the found candidates
+// pre-blocked (blocking clauses are whole-space facts, so they stay
+// sound under cube assumptions): the returned candidate set is
+// invariant under parallelism and cube settings, only its order may
+// differ.
+func (s *Sketch) Enumerate() ([]*Result, error) {
+	max := s.opts.MaxSolutions
+	if max <= 0 {
+		max = 8
 	}
-	copts := sk.cubeOpts()
-	copts.Workers = localWorkers
-	r, err := cube.Serve(addr, cube.RemoteOptions{
-		Src: src, Target: target, Desugar: opts.desugarOpts(),
-	}, copts, opts.Verbose)
-	if err != nil {
-		return nil, err
+	var out []*Result
+	if s.opts.Cubes > 1 {
+		var blocked []Candidate
+		for len(out) < max {
+			co := s.cubeOpts()
+			co.Core.Block = append([]Candidate(nil), blocked...)
+			r, err := cube.Synthesize(s.sk, co)
+			if err != nil {
+				return nil, err
+			}
+			if !r.Resolved {
+				break
+			}
+			res, err := s.result(&Result{Resolved: true, Candidate: r.Candidate, Stats: r.Stats, Cube: r})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, res)
+			blocked = append(blocked, r.Candidate)
+		}
+		return out, nil
 	}
-	return sk.cubeResult(r)
-}
-
-// JoinCubes connects to a ServeCubes coordinator at addr and runs
-// cubes it is handed until the coordinator releases it. The sketch
-// arrives over the wire; nothing is configured locally.
-func JoinCubes(addr string, verbose func(format string, args ...any)) error {
-	return cube.Join(addr, verbose)
-}
-
-// Enumerate returns up to max distinct correct completions of the
-// sketch (the §8.3.1 autotuning hook: synthesize many candidates, then
-// pick the best by measurement).
-func (s *Sketch) Enumerate(max int) ([]*Result, error) {
 	syn, err := core.New(s.sk, s.coreOpts())
 	if err != nil {
 		return nil, err
@@ -487,59 +478,15 @@ func (s *Sketch) Enumerate(max int) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []*Result
 	for _, r := range rs {
-		res := &Result{Resolved: true, Candidate: r.Candidate, Stats: r.Stats}
-		code, err := printer.Program(s.sk, r.Candidate)
+		res, err := s.result(&Result{Resolved: true, Candidate: r.Candidate, Stats: r.Stats})
 		if err != nil {
 			return nil, err
 		}
-		res.Code = code
 		out = append(out, res)
 	}
 	return out, nil
 }
-
-// SynthesizeAll is enumerate-all-solutions mode: verified candidates
-// are blocked and the space re-solved until UNSAT, bounded by
-// Options.MaxSolutions. Under Options.Cubes > 1 each re-solve is its
-// own cube-and-conquer run with the found candidates pre-blocked
-// (blocking clauses are whole-space facts, so they stay sound under
-// cube assumptions) — the returned candidate set is invariant under
-// parallelism and cube settings, only its order may differ.
-func (s *Sketch) SynthesizeAll() ([]*Result, error) {
-	max := s.opts.MaxSolutions
-	if max <= 0 {
-		max = 8
-	}
-	if s.opts.Cubes <= 1 {
-		return s.Enumerate(max)
-	}
-	var out []*Result
-	var blocked []Candidate
-	for len(out) < max {
-		co := s.cubeOpts()
-		co.Core.Block = append([]Candidate(nil), blocked...)
-		r, err := cube.Synthesize(s.sk, co)
-		if err != nil {
-			return out, err
-		}
-		res, err := s.cubeResult(r)
-		if err != nil {
-			return out, err
-		}
-		if !res.Resolved {
-			break
-		}
-		out = append(out, res)
-		blocked = append(blocked, res.Candidate)
-	}
-	return out, nil
-}
-
-// EmittedPackage is one candidate lowered to a compilable Go package
-// (see internal/emit for the lowering map and its soundness caveat).
-type EmittedPackage = emit.Package
 
 // RankOptions configure the throughput-ranking pass over emitted
 // candidates.
@@ -548,121 +495,57 @@ type RankOptions = emit.RankOptions
 // Measurement is one emitted candidate's measured throughput.
 type Measurement = emit.Measurement
 
-// EmitManifest is the saved verdict -emit-dir leaves at the emit root.
+// EmitManifest is the saved verdict Emit leaves at the emit root.
 type EmitManifest = emit.Manifest
 
-// ReadEmitManifest loads the manifest.json a SynthesizeEmit run saved
-// under root.
-func ReadEmitManifest(root string) (*EmitManifest, error) {
-	return emit.ReadManifest(root)
-}
-
-// EmitGo lowers one verified candidate into a compilable Go package:
-// real sync/atomic operations, real goroutines, the structure's ops as
-// exported methods, plus a generated load harness and race-detector
-// stress test.
-func (s *Sketch) EmitGo(cand Candidate, name string) (*EmittedPackage, error) {
-	return emit.Emit(s.sk, cand, emit.Options{
-		Name:    name,
-		Tracer:  s.opts.Trace,
-		Parent:  s.opts.TraceParent,
-		Metrics: s.opts.Metrics,
-	})
-}
-
-// SynthesizeEmit runs enumerate-all mode, deduplicates completions that
-// resolve to identical code (distinct hole assignments can fold to the
-// same program), writes one Go package per distinct candidate under
-// dir (cand00, cand01, ...) and saves dir/manifest.json as the verdict
-// record cmd/pskemit can re-rank from. It returns the kept results and
-// their package directories, in enumeration order.
-func (s *Sketch) SynthesizeEmit(dir string) ([]*Result, []string, error) {
-	rs, err := s.SynthesizeAll()
-	if err != nil {
-		return nil, nil, err
-	}
+// Emit lowers completions — Enumerate's results — to compilable Go
+// packages: real sync/atomic operations, real goroutines, the
+// structure's ops as exported methods, plus a generated load harness
+// and race-detector stress test (see internal/emit for the lowering
+// map and its soundness caveat). Completions that resolve to identical
+// code are emitted once (distinct hole assignments can fold to the
+// same program). Each kept one becomes dir/cand00, dir/cand01, ... in
+// order, and dir/manifest.json records them as the verdict RankEmitted
+// ranks; Emit returns that manifest.
+func (s *Sketch) Emit(dir string, rs []*Result) (*EmitManifest, error) {
 	man := &EmitManifest{}
 	if s.sk.Harness != nil {
 		man.Sketch = s.sk.Harness.Name
 	}
 	seen := map[string]bool{}
-	var kept []*Result
-	var dirs []string
 	for _, r := range rs {
 		if seen[r.Code] {
 			continue
 		}
 		seen[r.Code] = true
-		name := fmt.Sprintf("cand%02d", len(kept))
-		p, err := s.EmitGo(r.Candidate, name)
+		name := fmt.Sprintf("cand%02d", len(man.Candidates))
+		p, err := emit.Emit(s.sk, r.Candidate, emit.Options{
+			Name:    name,
+			Tracer:  s.opts.Trace,
+			Parent:  s.opts.TraceParent,
+			Metrics: s.opts.Metrics,
+		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		cdir := filepath.Join(dir, name)
-		if err := p.WriteDir(cdir); err != nil {
-			return nil, nil, err
+		if err := p.WriteDir(filepath.Join(dir, name)); err != nil {
+			return nil, err
 		}
 		man.Candidates = append(man.Candidates, emit.ManifestEntry{
 			Name: name, Candidate: r.Candidate, Code: r.Code, Ops: p.Ops,
 		})
-		kept = append(kept, r)
-		dirs = append(dirs, cdir)
 	}
 	if err := emit.WriteManifest(dir, man); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return kept, dirs, nil
+	return man, nil
 }
 
-// SynthesizeRanked is the full pipeline: enumerate all verified
-// completions, emit each distinct one as a Go package under dir, build
-// and run every package's load harness, and return the results ordered
-// by measured ops/sec (fastest first) with per-candidate throughput in
-// Stats.Throughput. The measurements are also persisted into the
-// manifest. Candidates that fail to build or run sort last with
-// Stats.Throughput zero.
-func (s *Sketch) SynthesizeRanked(dir string, ropts RankOptions) ([]*Result, []Measurement, error) {
-	kept, dirs, err := s.SynthesizeEmit(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(kept) == 0 {
-		return nil, nil, nil
-	}
-	if ropts.Tracer == nil {
-		ropts.Tracer = s.opts.Trace
-		ropts.Parent = s.opts.TraceParent
-	}
-	if ropts.Metrics == nil {
-		ropts.Metrics = s.opts.Metrics
-	}
-	ms, err := emit.Rank(dirs, ropts)
-	if err != nil {
-		return kept, nil, err
-	}
-	byDir := map[string]*Result{}
-	for i, d := range dirs {
-		byDir[d] = kept[i]
-	}
-	ordered := make([]*Result, 0, len(kept))
-	for _, m := range ms {
-		r := byDir[m.Dir]
-		if r == nil {
-			continue
-		}
-		r.Stats.Throughput = m.OpsPerSec
-		ordered = append(ordered, r)
-	}
-	if man, err := emit.ReadManifest(dir); err == nil {
-		man.Ranked = ms
-		_ = emit.WriteManifest(dir, man)
-	}
-	return ordered, ms, nil
-}
-
-// RankEmitted re-ranks previously emitted candidate directories (a
-// saved -emit-dir verdict) by measured throughput without
-// re-synthesizing — cmd/pskemit's -dir mode.
+// RankEmitted ranks the candidates an Emit run saved under root by
+// measured throughput: it builds every package, drives its load
+// harness, returns the measurements fastest first (candidates that
+// fail to build or run sort last), and records them in the manifest.
+// No synthesis runs — this is cmd/pskemit.
 func RankEmitted(root string, ropts RankOptions) (*EmitManifest, []Measurement, error) {
 	man, err := emit.ReadManifest(root)
 	if err != nil {
