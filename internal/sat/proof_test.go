@@ -42,23 +42,32 @@ func addPigeonhole(s clauseAdder, pigeons, holes int) {
 	}
 }
 
+// PHP(6,5) never reduces the learnt-clause database; PHP(9,8) reduces
+// it six times, so its replay also checks the DeleteLemma stream and
+// the lemmas learned after each reduction.
 func TestSolverProofPigeonhole(t *testing.T) {
-	s := New()
-	r := drat.NewRecorder()
-	s.SetProof(r)
-	addPigeonhole(s, 6, 5)
-	if s.Solve() {
-		t.Fatal("PHP(6,5) reported SAT")
+	for _, in := range []struct{ pigeons, holes int }{{6, 5}, {9, 8}} {
+		s := New()
+		r := drat.NewRecorder()
+		s.SetProof(r)
+		addPigeonhole(s, in.pigeons, in.holes)
+		if s.Solve() {
+			t.Fatalf("PHP(%d,%d) reported SAT", in.pigeons, in.holes)
+		}
+		if in.pigeons == 9 && s.Stats.Reduces == 0 {
+			t.Fatal("PHP(9,8) never reduced the learnt-clause database")
+		}
+		cert := r.Certificate(nil)
+		stats, err := cert.Verify()
+		if err != nil {
+			t.Fatalf("PHP(%d,%d) UNSAT certificate rejected: %v", in.pigeons, in.holes, err)
+		}
+		if stats.Checked == 0 {
+			t.Fatalf("PHP(%d,%d) refutation verified without checking any lemma", in.pigeons, in.holes)
+		}
+		t.Logf("PHP(%d,%d) reduces=%d lemmas=%d checked=%d core=%d props=%d", in.pigeons, in.holes,
+			s.Stats.Reduces, stats.Lemmas, stats.Checked, stats.Core, stats.Propagations)
 	}
-	cert := r.Certificate(nil)
-	stats, err := cert.Verify()
-	if err != nil {
-		t.Fatalf("UNSAT certificate rejected: %v", err)
-	}
-	if stats.Checked == 0 {
-		t.Fatal("PHP refutation verified without checking any lemma")
-	}
-	t.Logf("lemmas=%d checked=%d core=%d props=%d", stats.Lemmas, stats.Checked, stats.Core, stats.Propagations)
 }
 
 func TestPortfolioProofPigeonhole(t *testing.T) {

@@ -1,13 +1,37 @@
 // Package sat is a from-scratch CDCL SAT solver: two-watched literals,
-// first-UIP clause learning with recursive minimization, VSIDS-style
-// activity with phase saving, and Luby restarts. It replaces the
-// external SAT solver the SKETCH infrastructure delegated to (§5, §9:
-// "delegates the effort of conducting an effective search to an
-// efficient, general purpose SAT-based solver").
+// first-UIP clause learning with single-step minimization (a literal is
+// dropped when every other literal of its reason clause is already in
+// the learnt clause or fixed at level 0), VSIDS-style activity with
+// phase saving, and Luby restarts. It replaces the external SAT solver
+// the SKETCH infrastructure delegated to (§5, §9: "delegates the effort
+// of conducting an effective search to an efficient, general purpose
+// SAT-based solver").
 //
 // The interface is incremental: clauses may be added between Solve
 // calls, and Solve accepts assumptions, which is how the CEGIS loop
 // grows the observation set one counterexample at a time.
+//
+// # Clause arena
+//
+// Every clause, problem or learnt, lives in one pointer-free []Lit
+// arena and is addressed by a 32-bit reference, the index of its header
+// word. The header holds the literal count and two flags (learnt, and
+// the deletion mark reduceDB sets); a learnt clause's header is followed
+// by two words holding its float64 activity, and then every clause's
+// literals. Watchers are {ref, blocker} pairs and reasons are refs, so
+// propagation follows no pointers and the garbage collector has nothing
+// to trace in the clause database. Variable values are kept per
+// literal, so reading a literal's value is one load.
+//
+// reduceDB marks the low-activity half of the learnt clauses that are
+// longer than two literals and are not locked (a clause is locked when
+// it is the reason of its first literal's assignment), then compacts
+// the arena into a fresh one: problem clauses first, then learnt
+// clauses, each in list order. Each moved clause leaves its new ref in
+// its old header word, and the reasons of the level-0 assignments (the
+// only ones left at a reduction) are forwarded through it. The watch
+// lists are then rebuilt from the two lists in the same order, so where
+// the arena keeps a clause never affects the search.
 //
 // # Concurrency contract
 //
@@ -21,15 +45,17 @@
 // Portfolio races N diversified Solver instances (varied polarity
 // defaults, VSIDS decay, Luby restart unit, and random-seeded branching
 // tie-breaks) over the same clause set; the first definitive answer
-// wins and cancels the rest. Each worker keeps its own learnt-clause
-// database across calls, so portfolio state is incremental per worker
-// across CEGIS iterations. A 1-worker Portfolio is bit-for-bit the
-// plain Solver. Portfolio itself follows the same external contract as
-// Solver: one caller goroutine; the internal worker goroutines exist
-// only inside Solve and have all joined by the time it returns.
+// wins and cancels the rest. Each worker keeps its own arena and
+// learnt-clause database across calls, so portfolio state is
+// incremental per worker across CEGIS iterations. A 1-worker Portfolio
+// is bit-for-bit the plain Solver. Portfolio itself follows the same
+// external contract as Solver: one caller goroutine; the internal
+// worker goroutines exist only inside Solve and have all joined by the
+// time it returns.
 package sat
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -140,36 +166,36 @@ const (
 	lFalse
 )
 
-func (b lbool) neg() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
+// cref is a clause reference: the arena index of the clause's header
+// word.
+type cref uint32
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// noRef is the reason of an unforced assignment (a decision, an
+// assumption or a unit) and propagate's "no conflict".
+const noRef cref = math.MaxUint32
+
+// Arena header word: the literal count shifted past two flag bits.
+const (
+	hdrLearnt    = 1 << 0 // two activity words follow the header
+	hdrDrop      = 1 << 1 // reduceDB is deleting the clause
+	hdrSizeShift = 2
+)
 
 type watcher struct {
-	c       *clause
+	ref     cref
 	blocker Lit
 }
 
 // Solver is a CDCL SAT solver.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
+	arena   []Lit       // every clause; see "Clause arena" in the package comment
+	clauses []cref      // problem clauses, in insertion order
+	learnts []cref      // learnt clauses, in insertion order
 	watches [][]watcher // indexed by literal
 
-	assigns  []lbool
+	vals     []lbool // indexed by literal
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	activity []float64
 	polarity []bool // saved phases
 	seen     []byte
@@ -177,13 +203,14 @@ type Solver struct {
 	trail    []Lit
 	trailLim []int32
 	qhead    int
-	model    []lbool
+	model    []lbool // vals at the last SAT answer
 
-	order   *varHeap
-	varInc  float64
-	claInc  float64
-	ok      bool
-	scratch []Lit
+	order     *varHeap
+	varInc    float64
+	claInc    float64
+	ok        bool
+	scratch   []Lit
+	learntBuf []Lit // analyze's result, reused across conflicts
 
 	cfg      Config
 	rngState uint64
@@ -289,17 +316,17 @@ func (s *Solver) SetBus(b *Bus, id int) {
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noRef)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, s.cfg.DefaultPolarity) // true = branch false first
 	s.seen = append(s.seen, 0)
@@ -308,17 +335,47 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) valueLit(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if l.Neg() {
-		return v.neg()
-	}
-	return v
-}
+func (s *Solver) valueLit(l Lit) lbool { return s.vals[l] }
 
 // Value returns the model value of a variable after a SAT result.
 func (s *Solver) Value(v int) bool {
-	return v < len(s.model) && s.model[v] == lTrue
+	l := MkLit(v, false)
+	return int(l) < len(s.model) && s.model[l] == lTrue
+}
+
+// newClause copies lits into the arena as a fresh clause (a learnt one
+// with activity 0) and returns its ref.
+func (s *Solver) newClause(lits []Lit, learnt bool) cref {
+	r := len(s.arena)
+	if uint64(r)+uint64(len(lits))+3 >= uint64(noRef) {
+		panic("sat: clause arena exceeds 2^32 words")
+	}
+	h := Lit(len(lits) << hdrSizeShift)
+	if learnt {
+		s.arena = append(s.arena, h|hdrLearnt, 0, 0)
+	} else {
+		s.arena = append(s.arena, h)
+	}
+	s.arena = append(s.arena, lits...)
+	return cref(r)
+}
+
+// lits returns clause r's literals, aliased into the arena.
+func (s *Solver) lits(r cref) []Lit {
+	h := uint32(s.arena[r])
+	start := uint32(r) + 1 + 2*(h&hdrLearnt)
+	return s.arena[start : start+h>>hdrSizeShift]
+}
+
+func (s *Solver) learnt(r cref) bool { return s.arena[r]&hdrLearnt != 0 }
+
+func (s *Solver) claActivity(r cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[r+1])) | uint64(uint32(s.arena[r+2]))<<32)
+}
+
+func (s *Solver) setClaActivity(r cref, a float64) {
+	b := math.Float64bits(a)
+	s.arena[r+1], s.arena[r+2] = Lit(uint32(b)), Lit(uint32(b>>32))
 }
 
 // AddClause adds a problem clause. It returns false if the formula is
@@ -366,13 +423,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(out[0], noRef)
+		s.ok = s.propagate() == noRef
 		return s.ok
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	r := s.newClause(out, false)
+	s.clauses = append(s.clauses, r)
+	s.attach(r)
 	return true
 }
 
@@ -390,66 +447,65 @@ func (s *Solver) AddClauses(lits []Lit, ends []int) bool {
 	return ok
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, l1})
-	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, l0})
+func (s *Solver) attach(r cref) {
+	c := s.lits(r)
+	l0, l1 := c[0], c[1]
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{r, l1})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{r, l0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation; it returns a conflicting clause
-// or nil.
-func (s *Solver) propagate() *clause {
+// or noRef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
 		n := 0
 	nextWatch:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.valueLit(w.blocker) == lTrue {
+			if s.vals[w.blocker] == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
-			c := w.c
-			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			c := s.lits(w.ref)
+			// Ensure the false literal is c[1].
+			if c[0] == falseLit {
+				c[0], c[1] = c[1], c[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.valueLit(first) == lTrue {
-				ws[n] = watcher{c, first}
+			first := c[0]
+			if first != w.blocker && s.vals[first] == lTrue {
+				ws[n] = watcher{w.ref, first}
 				n++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(c); k++ {
+				if s.vals[c[k]] != lFalse {
+					c[1], c[k] = c[k], c[1]
+					s.watches[c[1].Not()] = append(s.watches[c[1].Not()], watcher{w.ref, first})
 					continue nextWatch
 				}
 			}
 			// Clause is unit or conflicting.
-			ws[n] = watcher{c, first}
+			ws[n] = watcher{w.ref, first}
 			n++
-			if s.valueLit(first) == lFalse {
+			if s.vals[first] == lFalse {
 				// Conflict: copy back remaining watchers and bail.
 				for i++; i < len(ws); i++ {
 					ws[n] = ws[i]
@@ -457,19 +513,20 @@ func (s *Solver) propagate() *clause {
 				}
 				s.watches[p] = ws[:n]
 				s.qhead = len(s.trail)
-				return c
+				return w.ref
 			}
-			s.uncheckedEnqueue(first, c)
+			s.uncheckedEnqueue(first, w.ref)
 		}
 		s.watches[p] = ws[:n]
 	}
-	return nil
+	return noRef
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause
+// aliases a buffer the next call reuses.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
@@ -477,8 +534,9 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 
 	for {
 		s.bumpClause(confl)
-		for j := 0; j < len(confl.lits); j++ {
-			q := confl.lits[j]
+		c := s.lits(confl)
+		for j := 0; j < len(c); j++ {
+			q := c[j]
 			if !first && j == 0 {
 				continue // skip the asserting literal of the reason
 			}
@@ -510,16 +568,27 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		confl = s.reason[p.Var()]
 	}
 	learnt[0] = p.Not()
+	s.learntBuf = learnt
 
-	// Minimize: drop literals implied by the rest of the clause. Keep
-	// the pre-minimization list so every seen flag is cleared below.
-	full := append([]Lit(nil), learnt...)
+	// Minimize: drop literals implied by the rest of the clause. The
+	// kept literals are compacted in place, and redundant tests
+	// membership in the whole buffer, stale slots included: seen[v]
+	// counts the slots holding v, so overwriting a slot moves one count
+	// from the overwritten variable to the kept one.
 	out := learnt[:1]
 	for i := 1; i < len(learnt); i++ {
-		v := learnt[i].Var()
-		if s.reason[v] == nil || !s.redundant(learnt[i], learnt) {
-			out = append(out, learnt[i])
+		l := learnt[i]
+		if s.reason[l.Var()] == noRef || !s.redundant(l) {
+			if k := len(out); k < i {
+				s.seen[learnt[k].Var()]--
+				s.seen[l.Var()]++
+			}
+			out = append(out, l)
 		}
+	}
+	// Every variable with a nonzero count still holds a slot.
+	for _, l := range learnt {
+		s.seen[l.Var()] = 0
 	}
 	learnt = out
 
@@ -535,21 +604,18 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		btLevel = int(s.level[learnt[1].Var()])
 	}
-	// Clear seen flags (including literals dropped by minimization).
-	for _, l := range full {
-		s.seen[l.Var()] = 0
-	}
 	return learnt, btLevel
 }
 
 // redundant reports whether lit is implied by the other literals of the
-// learnt clause (single-step self-subsumption test).
-func (s *Solver) redundant(lit Lit, learnt []Lit) bool {
+// learnt clause (single-step self-subsumption test): every literal of
+// its reason is fixed at level 0 or has a variable counted in seen.
+func (s *Solver) redundant(lit Lit) bool {
 	r := s.reason[lit.Var()]
-	if r == nil {
+	if r == noRef {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, q := range s.lits(r) {
 		if q == lit.Not() {
 			continue
 		}
@@ -557,14 +623,7 @@ func (s *Solver) redundant(lit Lit, learnt []Lit) bool {
 		if s.level[v] == 0 {
 			continue
 		}
-		inClause := false
-		for _, o := range learnt {
-			if o.Var() == v {
-				inClause = true
-				break
-			}
-		}
-		if !inClause {
+		if s.seen[v] == 0 {
 			return false
 		}
 	}
@@ -577,10 +636,12 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	lim := int(s.trailLim[level])
 	for i := len(s.trail) - 1; i >= lim; i-- {
-		v := s.trail[i].Var()
-		s.polarity[v] = s.assigns[v] == lFalse
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.Var()
+		s.polarity[v] = l.Neg()
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
+		s.reason[v] = noRef
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:lim]
@@ -599,14 +660,15 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	if !c.learnt {
+func (s *Solver) bumpClause(r cref) {
+	if !s.learnt(r) {
 		return
 	}
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for _, cl := range s.learnts {
-			cl.activity *= 1e-20
+	a := s.claActivity(r) + s.claInc
+	s.setClaActivity(r, a)
+	if a > 1e20 {
+		for _, l := range s.learnts {
+			s.setClaActivity(l, s.claActivity(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -635,13 +697,13 @@ func (s *Solver) pickBranchVar() int {
 		// popped while assigned it is simply discarded, and backtracking
 		// reinserts unassigned variables anyway.
 		v := int(s.order.heap[s.nextRand()%uint64(len(s.order.heap))])
-		if s.assigns[v] == lUndef {
+		if s.vals[MkLit(v, false)] == lUndef {
 			return v
 		}
 	}
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assigns[v] == lUndef {
+		if s.vals[MkLit(v, false)] == lUndef {
 			return v
 		}
 	}
@@ -707,7 +769,7 @@ func (s *Solver) solveCancel2(cancel, cancel2 *atomic.Bool, assumptions ...Lit) 
 		confl := s.search(int(luby(2, restarts)*float64(s.cfg.LubyUnit)), assumptions)
 		switch confl {
 		case satisfied:
-			s.model = append(s.model[:0], s.assigns...)
+			s.model = append(s.model[:0], s.vals...)
 			return true, false
 		case unsatisfiable:
 			return false, false
@@ -820,12 +882,12 @@ func (s *Solver) addImported(lits []Lit, counter *int64) bool {
 	case 0:
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		return s.propagate() == nil
+		s.uncheckedEnqueue(out[0], noRef)
+		return s.propagate() == noRef
 	}
-	c := &clause{lits: append([]Lit(nil), out...), learnt: true}
-	s.learnts = append(s.learnts, c)
-	s.attach(c)
+	r := s.newClause(out, true)
+	s.learnts = append(s.learnts, r)
+	s.attach(r)
 	return true
 }
 
@@ -833,49 +895,80 @@ func (s *Solver) addImported(lits []Lit, counter *int64) bool {
 func (s *Solver) Conflicts() int64 { return s.Stats.Conflicts }
 
 // reduceDB drops the lower-activity half of the learned clauses
-// (keeping binary clauses and clauses currently used as reasons) and
+// (keeping binary clauses and locked ones), compacts the arena and
 // rebuilds the watcher lists.
 func (s *Solver) reduceDB() {
 	if s.decisionLevel() != 0 {
 		return
 	}
-	locked := map[*clause]bool{}
-	for v := range s.assigns {
-		if s.reason[v] != nil {
-			locked[s.reason[v]] = true
-		}
-	}
-	sorted := append([]*clause(nil), s.learnts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].activity < sorted[j].activity })
-	drop := map[*clause]bool{}
-	for _, c := range sorted[:len(sorted)/2] {
-		if len(c.lits) > 2 && !locked[c] {
-			drop[c] = true
+	sorted := append([]cref(nil), s.learnts...)
+	sort.Slice(sorted, func(i, j int) bool { return s.claActivity(sorted[i]) < s.claActivity(sorted[j]) })
+	for _, r := range sorted[:len(sorted)/2] {
+		if len(s.lits(r)) > 2 && !s.locked(r) {
+			s.arena[r] |= hdrDrop
 		}
 	}
 	kept := s.learnts[:0]
-	for _, c := range s.learnts {
-		if !drop[c] {
-			kept = append(kept, c)
+	for _, r := range s.learnts {
+		if s.arena[r]&hdrDrop == 0 {
+			kept = append(kept, r)
 		} else if s.proof != nil {
 			// The recorder drops per-worker deletions when the proof is
 			// shared by a portfolio (the merged database still holds the
 			// clause); solo proofs keep them as real DRAT "d" lines.
-			s.proof.DeleteLemma(s.dimacs(c.lits))
+			s.proof.DeleteLemma(s.dimacs(s.lits(r)))
 		}
 	}
 	s.learnts = kept
+	s.compact()
 	// Rebuild watches from scratch.
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
-	for _, c := range s.clauses {
-		s.attach(c)
+	for _, r := range s.clauses {
+		s.attach(r)
 	}
-	for _, c := range s.learnts {
-		s.attach(c)
+	for _, r := range s.learnts {
+		s.attach(r)
 	}
 	s.Stats.Reduces++
+}
+
+// locked reports whether clause r is the reason of an assignment; only
+// its first literal can be the one it forced.
+func (s *Solver) locked(r cref) bool {
+	l := s.lits(r)[0]
+	return s.vals[l] == lTrue && s.reason[l.Var()] == r
+}
+
+// compact copies the listed clauses into a fresh arena, problem clauses
+// first and then learnts, each in list order, so the clauses reduceDB
+// dropped take no space. Each moved clause's old header word receives
+// its new ref, through which the reasons of the trail's assignments are
+// forwarded. Called at level 0 only, where no reason is a dropped
+// clause.
+func (s *Solver) compact() {
+	old := s.arena
+	s.arena = make([]Lit, 0, cap(old))
+	move := func(r cref) cref {
+		n := cref(len(s.arena))
+		h := uint32(old[r])
+		end := uint32(r) + 1 + 2*(h&hdrLearnt) + h>>hdrSizeShift
+		s.arena = append(s.arena, old[r:end]...)
+		old[r] = Lit(n)
+		return n
+	}
+	for i, r := range s.clauses {
+		s.clauses[i] = move(r)
+	}
+	for i, r := range s.learnts {
+		s.learnts[i] = move(r)
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != noRef {
+			s.reason[l.Var()] = cref(old[r])
+		}
+	}
 }
 
 type searchResult int
@@ -894,7 +987,7 @@ func (s *Solver) search(maxConflicts int, assumptions []Lit) searchResult {
 			return canceledRes
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noRef {
 			s.Stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -920,15 +1013,15 @@ func (s *Solver) search(maxConflicts int, assumptions []Lit) searchResult {
 					return unsatisfiable
 				}
 				if s.valueLit(learnt[0]) == lUndef {
-					s.uncheckedEnqueue(learnt[0], nil)
+					s.uncheckedEnqueue(learnt[0], noRef)
 				}
 			} else {
-				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true}
-				s.learnts = append(s.learnts, c)
+				r := s.newClause(learnt, true)
+				s.learnts = append(s.learnts, r)
 				s.Stats.Learned++
-				s.attach(c)
-				s.bumpClause(c)
-				s.uncheckedEnqueue(c.lits[0], c)
+				s.attach(r)
+				s.bumpClause(r)
+				s.uncheckedEnqueue(learnt[0], r)
 			}
 			s.decayActivities()
 			if conflicts >= maxConflicts {
@@ -949,7 +1042,7 @@ func (s *Solver) search(maxConflicts int, assumptions []Lit) searchResult {
 				return unsatisfiable
 			}
 			s.trailLim = append(s.trailLim, int32(len(s.trail)))
-			s.uncheckedEnqueue(a, nil)
+			s.uncheckedEnqueue(a, noRef)
 			continue
 		}
 		v := s.pickBranchVar()
@@ -958,7 +1051,7 @@ func (s *Solver) search(maxConflicts int, assumptions []Lit) searchResult {
 		}
 		s.Stats.Decisions++
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.uncheckedEnqueue(MkLit(v, s.polarity[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, s.polarity[v]), noRef)
 	}
 }
 

@@ -128,30 +128,5 @@ func (b *Bus) Fetch(from uint64, self int) ([][]Lit, uint64) {
 	return b.pool.fetch(from, self)
 }
 
-// TaggedClause pairs a relayed clause with its origin cube.
-type TaggedClause struct {
-	Origin int
-	Lits   []Lit
-}
-
-// FetchTagged returns every clause published since cursor from with
-// its origin, plus the new cursor; the caller does its own origin
-// filtering.
-func (b *Bus) FetchTagged(from uint64) ([]TaggedClause, uint64) {
-	p := &b.pool
-	p.mu.Lock()
-	next := p.next
-	if next-from > shareCap {
-		from = next - shareCap
-	}
-	var out []TaggedClause
-	for i := from; i < next; i++ {
-		c := p.ring[i%shareCap]
-		out = append(out, TaggedClause{Origin: c.origin, Lits: c.lits})
-	}
-	p.mu.Unlock()
-	return out, next
-}
-
 // Published returns the total number of clauses ever relayed.
 func (b *Bus) Published() uint64 { return b.pool.published() }

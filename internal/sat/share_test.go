@@ -337,32 +337,3 @@ func TestBusPrefixFilter(t *testing.T) {
 		t.Fatalf("in-prefix clause not relayed: BusExported=%d", s.Stats.BusExported)
 	}
 }
-
-// FetchTagged preserves producer origins and clamps a stale cursor to
-// the surviving ring just like fetch.
-func TestBusFetchTagged(t *testing.T) {
-	b := NewBus(8)
-	b.Publish(2, []Lit{MkLit(0, false)})
-	b.Publish(7, []Lit{MkLit(1, true)})
-	got, cur := b.FetchTagged(0)
-	if len(got) != 2 || cur != 2 {
-		t.Fatalf("got %d clauses cur=%d, want 2/2", len(got), cur)
-	}
-	if got[0].Origin != 2 || got[1].Origin != 7 {
-		t.Fatalf("origins %d,%d, want 2,7", got[0].Origin, got[1].Origin)
-	}
-	if got[1].Lits[0] != MkLit(1, true) {
-		t.Fatalf("lits not preserved: %v", got[1].Lits)
-	}
-	// Overflow: a consumer more than shareCap behind sees only the ring.
-	for i := 0; i < shareCap+10; i++ {
-		b.Publish(1, []Lit{MkLit(i%8, false)})
-	}
-	got, cur = b.FetchTagged(0)
-	if len(got) != shareCap {
-		t.Fatalf("stale FetchTagged returned %d, want %d", len(got), shareCap)
-	}
-	if cur != uint64(2+shareCap+10) {
-		t.Fatalf("cursor=%d, want %d", cur, 2+shareCap+10)
-	}
-}
