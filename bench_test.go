@@ -2,8 +2,6 @@
 // see DESIGN.md's per-experiment index):
 //
 //   - BenchmarkTable1 — candidate-space counting for all ten sketches;
-//   - BenchmarkFig9/<bench>/<test> — full CEGIS runs over the Figure 9
-//     grid (synthesis + model checking);
 //   - BenchmarkFig_TransSSE — the §3 sequential shufps transpose;
 //   - BenchmarkAblationReorder* — the §7.2 quadratic vs insertion
 //     reorder encodings on the Figure 1 queue sketch;
@@ -21,6 +19,11 @@
 //   - BenchmarkSynthPortfolio_QueueE2/j* — full CEGIS with the SAT
 //     portfolio and parallel verifier on vs off.
 //
+// Figure 9 has no benchmark here: TestPaperGrid (internal/sketches)
+// checks every row's verdict at the default -j, TestFig9Counters
+// (internal/bench) pins every row's exact -j 1 work counters, and
+// pskbench -fig9 times the rows.
+//
 // Absolute times are not expected to match the paper's 2008 testbed;
 // the shape (who resolves, iteration counts, relative cost of the
 // phases) is the reproduction target. Run with:
@@ -31,7 +34,6 @@ package psketch
 import (
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 
 	"psketch/internal/circuit"
@@ -74,44 +76,6 @@ func BenchmarkTable1(b *testing.B) {
 			if sk.Count.Sign() <= 0 {
 				b.Fatalf("%s: bad count", bm.Name)
 			}
-		}
-	}
-}
-
-// BenchmarkFig9 runs the full synthesis grid. The dinphilo N=5 row
-// needs a large verifier budget and minutes of time; it is skipped in
-// short mode.
-func BenchmarkFig9(b *testing.B) {
-	for _, bm := range sketches.All() {
-		for _, test := range bm.Tests {
-			bm, test := bm, test
-			name := bm.Name + "/" + sanitize(test)
-			b.Run(name, func(b *testing.B) {
-				if testing.Short() && (bm.Name == "dinphilo" && strings.HasPrefix(test, "N=5")) {
-					b.Skip("large state space")
-				}
-				sk := compileBench(b, bm, test)
-				maxStates := 0
-				if bm.Name == "dinphilo" && strings.HasPrefix(test, "N=5") {
-					maxStates = 60_000_000
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					syn, err := core.New(sk, core.Options{MCMaxStates: maxStates})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := syn.Synthesize()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Resolved != bm.Resolvable[test] {
-						b.Fatalf("resolved=%v want %v", res.Resolved, bm.Resolvable[test])
-					}
-					b.ReportMetric(float64(res.Stats.Iterations), "iters")
-					b.ReportMetric(float64(res.Stats.MCStates), "mc-states")
-				}
-			})
 		}
 	}
 }
@@ -288,11 +252,6 @@ func BenchmarkProjectionInsert_QueueE2(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		run(b, func(p *sat.Portfolio) sat.Adder { return serialAdder{p} })
 	})
-}
-
-func sanitize(s string) string {
-	r := strings.NewReplacer("(", "_", ")", "_", "|", "-", ",", "_", "=", "")
-	return r.Replace(s)
 }
 
 // ablation: the model checker's two reductions on one full queueE1

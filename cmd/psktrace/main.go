@@ -9,8 +9,7 @@
 // The summary cross-checks the span tree against the journal's metrics
 // trailer: per-phase wall-clock reconstructed from spans must agree
 // with the counters the engine maintained, so drift flags lost spans.
-// The diff mode prints per-phase deltas between two journals and is
-// what benchgate's -journal mode builds on.
+// The diff mode prints per-phase deltas between two journals.
 package main
 
 import (

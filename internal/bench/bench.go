@@ -136,9 +136,9 @@ type Options struct {
 	// bench, test) and the CEGIS spans nest under it. Nil disables.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
-	// HeapSampleEvery forwards core's heap-sampling cadence. The cmds
-	// default it to 1 so MemMiB stays comparable with checked-in
-	// baselines; 0 samples once per run.
+	// HeapSampleEvery forwards core's heap-sampling cadence. pskbench
+	// defaults it to 1, so that MemMiB also sees peaks inside the CEGIS
+	// loop; 0 samples once per run.
 	HeapSampleEvery int
 	// RankEmitted, after each resolved test, lowers the winning
 	// candidate to a Go package (internal/emit), builds it, runs its

@@ -22,21 +22,6 @@ func TestTable1Output(t *testing.T) {
 	}
 }
 
-// The one-iteration trajectory is the deterministic -j 1 engine's;
-// the portfolio may take another, so the run is pinned to it.
-func TestRunOneQueueE1(t *testing.T) {
-	row := RunOne(sketches.QueueE1(), "ed(ee|dd)", Options{Timeout: 2 * time.Minute, Parallelism: 1})
-	if row.Err != nil {
-		t.Fatal(row.Err)
-	}
-	if !row.Resolved || row.Itns != 1 {
-		t.Fatalf("row %+v", row)
-	}
-	if row.LogC < 0.5 || row.LogC > 0.7 {
-		t.Fatalf("logC %f", row.LogC)
-	}
-}
-
 func TestRunOneTimeout(t *testing.T) {
 	row := RunOne(sketches.QueueDE2(), "ed(ed|ed)", Options{Timeout: time.Millisecond})
 	if row.Err == nil || !strings.Contains(row.Err.Error(), "timeout") {

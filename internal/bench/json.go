@@ -10,8 +10,7 @@ import (
 )
 
 // jsonRow is the machine-readable form of a Figure 9 row: durations in
-// milliseconds, errors as strings, field names stable across PRs so the
-// checked-in BENCH_*.json files diff cleanly.
+// milliseconds, errors as strings.
 type jsonRow struct {
 	Bench    string `json:"bench"`
 	Test     string `json:"test"`
@@ -60,7 +59,7 @@ type jsonRow struct {
 	ThroughputOpsSec float64 `json:"throughput_ops_sec,omitempty"`
 
 	// Cube-and-conquer columns (absent in reports from single-engine
-	// sweeps and pre-PR7 files; omitempty keeps them diff-clean).
+	// sweeps).
 	Cubes              int   `json:"cubes,omitempty"`
 	CubeWinner         int   `json:"cube_winner,omitempty"`
 	CubeStolen         int64 `json:"cube_stolen,omitempty"`
@@ -76,15 +75,13 @@ type jsonRow struct {
 // same configuration, so everything that shapes the measurement is
 // recorded here: engine knobs (parallelism, pipeline, clause sharing,
 // POR, proof replay, verifier budget) and the host the run was taken
-// on. The host fields use omitempty so reports written before they
-// existed (BENCH_pr3.json) still round-trip; readers treat an absent
-// field as "unknown", not as a mismatch.
+// on.
 type jsonOptions struct {
 	Parallelism        int    `json:"parallelism"`
 	Pipeline           bool   `json:"pipeline"`
 	ShareClauses       bool   `json:"share_clauses"`
 	POR                bool   `json:"por"`
-	Symmetry           *bool  `json:"symmetry,omitempty"` // pointer: absent in pre-PR6 reports means unknown, not off
+	Symmetry           bool   `json:"symmetry"`
 	MCCompress         string `json:"mc_compress,omitempty"`
 	TracesPerIteration int    `json:"traces_per_iteration"`
 	TimeoutMS          int64  `json:"timeout_ms"`
@@ -95,8 +92,8 @@ type jsonOptions struct {
 	Cubes       int  `json:"cubes,omitempty"`
 	CubeWorkers int  `json:"cube_workers,omitempty"`
 	// Throughput numbers are only comparable between runs that measured
-	// the same way, so the gate needs the emit/rank knob recorded like
-	// the reduction knobs.
+	// the same way, so the emit/rank knob is recorded like the
+	// reduction knobs.
 	RankEmitted bool   `json:"rank_emitted,omitempty"`
 	GoVersion   string `json:"go_version,omitempty"`
 	GOOS        string `json:"goos,omitempty"`
@@ -121,8 +118,7 @@ func WriteJSON(path string, rows []Row, opts Options) error {
 	rep.Options.Pipeline = !opts.NoPipeline
 	rep.Options.ShareClauses = !opts.NoShareClauses
 	rep.Options.POR = !opts.NoPOR
-	symOn := !opts.NoSymmetry
-	rep.Options.Symmetry = &symOn
+	rep.Options.Symmetry = !opts.NoSymmetry
 	rep.Options.MCCompress = opts.MCCompress
 	rep.Options.TracesPerIteration = opts.TracesPerIteration
 	rep.Options.TimeoutMS = opts.Timeout.Milliseconds()

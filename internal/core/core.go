@@ -115,8 +115,8 @@ type Options struct {
 	// HeapSampleEvery samples the heap high-water mark every N CEGIS
 	// iterations. runtime.ReadMemStats stops the world, so the default
 	// 0 samples only once, at the end of Synthesize, keeping the pause
-	// off the hot loop; pskbench sets 1 to preserve the historical
-	// per-iteration MemMiB measurement.
+	// off the hot loop; pskbench sets 1, so that its MiB column also
+	// sees peaks inside the loop.
 	HeapSampleEvery int
 	// Verbose, when set, receives progress lines.
 	Verbose func(format string, args ...any)

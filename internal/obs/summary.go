@@ -8,9 +8,8 @@ import (
 )
 
 // Span and attribute names shared between the emitting packages
-// (core, sat, mc, project, bench) and the consumers (psktrace, the
-// benchgate journal mode, tests). Keeping them here keeps the journal
-// vocabulary in one place.
+// (core, sat, mc, project, bench) and the consumers (psktrace, tests).
+// Keeping them here keeps the journal vocabulary in one place.
 const (
 	// AttrPhase tags a span with the Stats phase its duration feeds:
 	// every nanosecond counted into Stats.SSolve/SModel/VSolve/VModel/
@@ -66,40 +65,6 @@ func (j *Journal) children() map[SpanID][]*SpanRecord {
 		})
 	}
 	return ch
-}
-
-// Roots returns the journal's root spans with the given name ("" for
-// all roots), in start order.
-func (j *Journal) Roots(name string) []*SpanRecord {
-	var out []*SpanRecord
-	for _, r := range j.children()[0] {
-		if name == "" || r.Name == name {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SubtreePhaseTotals sums span durations by AttrPhase over the subtree
-// rooted at root (inclusive). Only phase-tagged spans count, so nested
-// untagged children are never double-counted.
-func (j *Journal) SubtreePhaseTotals(root SpanID) map[string]int64 {
-	ch := j.children()
-	idx := j.index()
-	totals := map[string]int64{}
-	var walk func(id SpanID)
-	walk = func(id SpanID) {
-		if r, ok := idx[id]; ok {
-			if p := r.StrAttr(AttrPhase); p != "" {
-				totals[p] += r.Dur
-			}
-		}
-		for _, c := range ch[id] {
-			walk(c.ID)
-		}
-	}
-	walk(root)
-	return totals
 }
 
 // PhaseTotals sums phase-tagged span durations over the whole journal.

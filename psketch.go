@@ -140,8 +140,8 @@ type Options struct {
 	Metrics *obs.Metrics
 	// HeapSampleEvery samples the heap high-water mark every N CEGIS
 	// iterations. runtime.ReadMemStats stops the world, so the default
-	// 0 samples only once per Synthesize; pskbench sets 1 to keep the
-	// historical per-iteration MemMiB measurement.
+	// 0 samples only once per Synthesize; pskbench sets 1, so that its
+	// MiB column also sees peaks inside the loop.
 	HeapSampleEvery int
 	// Warm, when set, is a cross-request warm-state store (build one
 	// with NewWarmStore): Synthesize checks the sketch's encoding
