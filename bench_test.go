@@ -201,9 +201,18 @@ func BenchmarkProjection_QueueE2(b *testing.B) {
 	}
 }
 
-// serialAdder hides AddClauses so ToSAT falls back to clause-by-clause
-// insertion — the pre-batching baseline.
+// serialAdder inserts ToSAT's clause batch clause by clause — the
+// pre-batching baseline.
 type serialAdder struct{ sat.Adder }
+
+func (s serialAdder) AddClauses(lits []sat.Lit, ends []int) bool {
+	ok, start := true, 0
+	for _, end := range ends {
+		ok = s.AddClause(lits[start:end]...) && ok
+		start = end
+	}
+	return ok
+}
 
 // BenchmarkProjectionInsert_QueueE2 measures pushing one projected
 // trace constraint into a 4-worker SAT portfolio — the per-iteration

@@ -276,6 +276,11 @@ type Expr interface {
 type Ident struct {
 	P    token.Pos
 	Name string
+	// Slot is the variable the name denotes, set when the program is
+	// lowered (internal/ir): local i of the enclosing sequence is i+1,
+	// global i is -(i+1), and 0 means unresolved (the thread-id name,
+	// an unknown name, or not lowered yet).
+	Slot int32
 }
 
 // IntLit is an integer literal.
@@ -340,6 +345,11 @@ type FieldExpr struct {
 	P    token.Pos
 	X    Expr
 	Name string
+	// Struct and Field are set when the program is lowered
+	// (internal/ir): Struct is 1 + the index of the receiver's struct
+	// in the lowered program's struct table, and Field the index of
+	// the field within it. Struct 0 means unresolved.
+	Struct, Field int32
 }
 
 // IndexExpr is a[i].

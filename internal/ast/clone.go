@@ -116,7 +116,7 @@ func (c *Cloner) Expr(e Expr) Expr {
 	case *Binary:
 		return &Binary{P: x.P, Op: x.Op, X: c.Expr(x.X), Y: c.Expr(x.Y)}
 	case *FieldExpr:
-		return &FieldExpr{P: x.P, X: c.Expr(x.X), Name: x.Name}
+		return &FieldExpr{P: x.P, X: c.Expr(x.X), Name: x.Name, Struct: x.Struct, Field: x.Field}
 	case *IndexExpr:
 		return &IndexExpr{P: x.P, X: c.Expr(x.X), Index: c.Expr(x.Index)}
 	case *SliceExpr:

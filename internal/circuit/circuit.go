@@ -8,6 +8,7 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 
 	"psketch/internal/sat"
 )
@@ -42,32 +43,50 @@ type node struct {
 }
 
 // Builder constructs a hash-consed AIG.
+//
+// Nodes live in one array in creation order; a node's id is its index.
+// The hash-cons table is open-addressed: each slot holds the id of an
+// And node, or 0 (the constant, never an And) when empty, and a node's
+// home slot is a hash of its (a, b) pair. Lookups probe linearly. The
+// table doubles before it becomes half full, so it is always at least
+// twice the node count. Neither array holds a pointer.
 type Builder struct {
 	nodes []node
-	hash  map[[2]Lit]Lit
-	// inputs records which nodes are inputs (for Eval).
-	isInput []bool
-	// satLits/satEnds are ToSAT's reusable clause-batch scratch.
-	satLits []sat.Lit
-	satEnds []int
+	table []int32
+	// evalMemo is Eval's dense memo: evalMemo[n] is evalEpoch<<1 | value
+	// when node n has been evaluated by the current Eval call.
+	evalMemo  []uint32
+	evalEpoch uint32
+	// ToSAT's reusable scratch: the clause batch and the DFS stack.
+	satLits  []sat.Lit
+	satEnds  []int
+	satStack []int32
 }
+
+// minTable is the initial hash-cons table size (a power of two).
+const minTable = 1 << 10
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	b := &Builder{hash: map[[2]Lit]Lit{}}
+	b := &Builder{table: make([]int32, minTable)}
 	b.nodes = append(b.nodes, node{}) // constant node 0
-	b.isInput = append(b.isInput, false)
 	return b
 }
 
 // NumNodes returns the number of AIG nodes (including the constant).
 func (b *Builder) NumNodes() int { return len(b.nodes) }
 
+// SizeBytes returns the memory the builder holds in its node array,
+// hash-cons table and Eval memo (8, 4 and 4 bytes per element of
+// capacity). ToSAT's scratch is transient and not counted.
+func (b *Builder) SizeBytes() int64 {
+	return 8*int64(cap(b.nodes)) + 4*int64(cap(b.table)) + 4*int64(cap(b.evalMemo))
+}
+
 // Input allocates a fresh input node.
 func (b *Builder) Input() Lit {
 	id := len(b.nodes)
 	b.nodes = append(b.nodes, node{a: -1, b: -1})
-	b.isInput = append(b.isInput, true)
 	return Lit(id << 1)
 }
 
@@ -77,6 +96,13 @@ func Const(v bool) Lit {
 		return True
 	}
 	return False
+}
+
+// slot returns the home slot of the pair (x, y) in a table of the
+// given mask.
+func slot(x, y Lit, mask uint64) uint64 {
+	h := (uint64(uint32(x))<<32 | uint64(uint32(y))) * 0x9e3779b97f4a7c15
+	return (h ^ h>>29) & mask
 }
 
 // And builds a ∧ b with constant folding and structural hashing.
@@ -96,16 +122,40 @@ func (b *Builder) And(x, y Lit) Lit {
 	if x > y {
 		x, y = y, x
 	}
-	key := [2]Lit{x, y}
-	if l, ok := b.hash[key]; ok {
-		return l
+	if 2*len(b.nodes) >= len(b.table) {
+		b.grow()
 	}
-	id := len(b.nodes)
-	b.nodes = append(b.nodes, node{a: x, b: y})
-	b.isInput = append(b.isInput, false)
-	l := Lit(id << 1)
-	b.hash[key] = l
-	return l
+	mask := uint64(len(b.table) - 1)
+	for i := slot(x, y, mask); ; i = (i + 1) & mask {
+		id := b.table[i]
+		if id == 0 {
+			id = int32(len(b.nodes))
+			b.nodes = append(b.nodes, node{a: x, b: y})
+			b.table[i] = id
+			return Lit(id << 1)
+		}
+		if nd := b.nodes[id]; nd.a == x && nd.b == y {
+			return Lit(id << 1)
+		}
+	}
+}
+
+// grow doubles the hash-cons table and reinserts every And node.
+func (b *Builder) grow() {
+	t := make([]int32, 2*len(b.table))
+	mask := uint64(len(t) - 1)
+	for id := 1; id < len(b.nodes); id++ {
+		nd := b.nodes[id]
+		if nd.a < 0 {
+			continue
+		}
+		i := slot(nd.a, nd.b, mask)
+		for t[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t[i] = int32(id)
+	}
+	b.table = t
 }
 
 // Or builds x ∨ y.
@@ -148,108 +198,142 @@ func (b *Builder) OrN(ls ...Lit) Lit {
 	return acc
 }
 
-// Eval computes the value of l under an input assignment.
+// Eval computes the value of l under an input assignment. The memo is
+// builder-owned, so Eval, like ToSAT, must not run concurrently with
+// any other use of the builder.
 func (b *Builder) Eval(inputs map[Lit]bool, l Lit) bool {
-	memo := make(map[int32]bool)
-	var rec func(n int32) bool
-	rec = func(n int32) bool {
-		if n == 0 {
-			return true
-		}
-		if v, ok := memo[n]; ok {
-			return v
-		}
-		nd := b.nodes[n]
-		var v bool
-		if b.isInput[n] {
-			v = inputs[Lit(n<<1)]
-		} else {
-			av := rec(nd.a.node()) != nd.a.neg()
-			bv := rec(nd.b.node()) != nd.b.neg()
-			v = av && bv
-		}
-		memo[n] = v
-		return v
+	if len(b.evalMemo) < len(b.nodes) {
+		b.evalMemo = append(b.evalMemo, make([]uint32, len(b.nodes)-len(b.evalMemo))...)
 	}
-	return rec(l.node()) != l.neg()
+	if b.evalEpoch == math.MaxUint32>>1 {
+		clear(b.evalMemo)
+		b.evalEpoch = 0
+	}
+	b.evalEpoch++
+	return b.eval(inputs, l.node()) != l.neg()
+}
+
+func (b *Builder) eval(inputs map[Lit]bool, n int32) bool {
+	if n == 0 {
+		return true
+	}
+	if m := b.evalMemo[n]; m>>1 == b.evalEpoch {
+		return m&1 == 1
+	}
+	nd := b.nodes[n]
+	var v bool
+	if nd.a < 0 {
+		v = inputs[Lit(n<<1)]
+	} else {
+		v = b.eval(inputs, nd.a.node()) != nd.a.neg() &&
+			b.eval(inputs, nd.b.node()) != nd.b.neg()
+	}
+	b.evalMemo[n] = b.evalEpoch<<1 | uint32(b2u(v))
+	return v
+}
+
+func b2u(v bool) uint32 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // VarMap persists the AIG-node → SAT-variable mapping across
 // incremental encodings.
 type VarMap struct {
-	vars []int // node id -> sat var + 1 (0 = unmapped)
+	vars []int32 // node id -> sat var + 1 (0 = unmapped)
 }
 
 // NewVarMap returns an empty mapping.
 func NewVarMap() *VarMap { return &VarMap{} }
 
+// reserve makes every node id below n addressable.
+func (m *VarMap) reserve(n int) {
+	if len(m.vars) < n {
+		m.vars = append(m.vars, make([]int32, n-len(m.vars))...)
+	}
+}
+
 func (m *VarMap) get(n int32) (int, bool) {
 	if int(n) < len(m.vars) && m.vars[n] != 0 {
-		return m.vars[n] - 1, true
+		return int(m.vars[n]) - 1, true
 	}
 	return 0, false
 }
 
-func (m *VarMap) set(n int32, v int) {
-	for int(n) >= len(m.vars) {
-		m.vars = append(m.vars, 0)
-	}
-	m.vars[n] = v + 1
-}
-
 // ToSAT Tseitin-encodes the cone of l into the solver (a plain Solver
-// or a Portfolio — anything that can allocate variables and take
-// clauses), reusing previously encoded nodes, and returns the SAT
-// literal for l.
+// or a Portfolio), reusing previously encoded nodes, and returns the
+// SAT literal for l.
 //
-// When the solver supports batch insertion (sat.BatchAdder), the
-// Tseitin clauses of the whole cone are buffered into builder-owned
-// scratch and handed over in one AddClauses call, so a portfolio
-// broadcasts each cone once per worker instead of once per clause. The
-// clause stream each worker sees is identical to per-clause emission.
+// The cone's unencoded nodes are numbered in depth-first pre-order
+// (first operand first) from the solver's next variable, and their
+// clauses are buffered in post-order, each node's three clauses after
+// its operands'. The solver then allocates all the new variables in
+// one NewVars call and takes the clauses in one AddClauses call, so a
+// portfolio broadcasts each cone once per worker. The variables and
+// the clause stream are those of a recursive encoding that allocates
+// each variable on first visit.
 func (b *Builder) ToSAT(s sat.Adder, m *VarMap, l Lit) sat.Lit {
-	batch, _ := s.(sat.BatchAdder)
 	b.satLits = b.satLits[:0]
 	b.satEnds = b.satEnds[:0]
+	m.reserve(len(b.nodes))
 	emit := func(lits ...sat.Lit) {
-		if batch != nil {
-			b.satLits = append(b.satLits, lits...)
-			b.satEnds = append(b.satEnds, len(b.satLits))
-		} else {
-			s.AddClause(lits...)
-		}
+		b.satLits = append(b.satLits, lits...)
+		b.satEnds = append(b.satEnds, len(b.satLits))
 	}
-	var rec func(n int32) int
-	rec = func(n int32) int {
-		if v, ok := m.get(n); ok {
-			return v
+	base := int32(s.NumVars())
+	next := base
+	// visit numbers an unencoded node and reports whether its clauses
+	// still have to be emitted (And nodes, after their operands).
+	visit := func(n int32) bool {
+		next++
+		m.vars[n] = next // var next-1, stored +1
+		switch {
+		case n == 0:
+			emit(sat.MkLit(int(next-1), false)) // constant true
+			return false
+		case b.nodes[n].a < 0:
+			return false // input
 		}
-		v := s.NewVar()
-		m.set(n, v)
-		if n == 0 {
-			emit(sat.MkLit(v, false)) // constant true
-			return v
-		}
+		return true
+	}
+	stack := b.satStack[:0]
+	if root := l.node(); m.vars[root] == 0 && visit(root) {
+		stack = append(stack, root)
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
 		nd := b.nodes[n]
-		if b.isInput[n] {
-			return v
+		if c := nd.a.node(); m.vars[c] == 0 {
+			if visit(c) {
+				stack = append(stack, c)
+			}
+			continue
 		}
-		av := rec(nd.a.node())
-		bv := rec(nd.b.node())
-		la := sat.MkLit(av, nd.a.neg())
-		lb := sat.MkLit(bv, nd.b.neg())
-		ln := sat.MkLit(v, false)
+		if c := nd.b.node(); m.vars[c] == 0 {
+			if visit(c) {
+				stack = append(stack, c)
+			}
+			continue
+		}
+		stack = stack[:len(stack)-1]
+		la := sat.MkLit(int(m.vars[nd.a.node()]-1), nd.a.neg())
+		lb := sat.MkLit(int(m.vars[nd.b.node()]-1), nd.b.neg())
+		ln := sat.MkLit(int(m.vars[n]-1), false)
 		// n ↔ (a ∧ b)
 		emit(ln.Not(), la)
 		emit(ln.Not(), lb)
 		emit(la.Not(), lb.Not(), ln)
-		return v
 	}
-	v := rec(l.node())
-	if batch != nil && len(b.satEnds) > 0 {
-		batch.AddClauses(b.satLits, b.satEnds)
+	b.satStack = stack
+	if k := int(next - base); k > 0 {
+		s.NewVars(k)
 	}
-	return sat.MkLit(v, l.neg())
+	if len(b.satEnds) > 0 {
+		s.AddClauses(b.satLits, b.satEnds)
+	}
+	return sat.MkLit(int(m.vars[l.node()]-1), l.neg())
 }
 
 // SATVar returns the SAT variable assigned to an input literal,
@@ -262,7 +346,8 @@ func (b *Builder) SATVar(s sat.Adder, m *VarMap, in Lit) int {
 		return v
 	}
 	v := s.NewVar()
-	m.set(in.node(), v)
+	m.reserve(int(in.node()) + 1)
+	m.vars[in.node()] = int32(v) + 1
 	return v
 }
 

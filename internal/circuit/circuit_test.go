@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +135,53 @@ func TestStructuralHashing(t *testing.T) {
 	if b.NumNodes() != before {
 		t.Fatal("duplicate node created")
 	}
+
+	// Past several table doublings every pair still finds its node, and
+	// node ids stay dense, in creation order.
+	b = NewBuilder()
+	table0 := len(b.table)
+	ins, pairs, lits := manyAnds(b)
+	if len(pairs) < 1<<17 {
+		t.Fatalf("built %d Ands, want at least 2^17", len(pairs))
+	}
+	if len(b.table) < table0<<4 {
+		t.Fatalf("table grew from %d to only %d slots", table0, len(b.table))
+	}
+	for k, l := range lits {
+		if want := Lit((len(ins) + 1 + k) << 1); l != want {
+			t.Fatalf("And #%d = %v, want %v (dense ids in creation order)", k, l, want)
+		}
+	}
+	n := b.NumNodes()
+	for k, p := range pairs {
+		if got, rev := b.And(p[0], p[1]), b.And(p[1], p[0]); got != lits[k] || rev != lits[k] {
+			t.Fatalf("pair #%d looks up %v/%v, want %v", k, got, rev, lits[k])
+		}
+	}
+	if b.NumNodes() != n {
+		t.Fatalf("lookups after growth created %d nodes", b.NumNodes()-n)
+	}
+}
+
+// manyAnds builds one And per pair of 600 inputs (179,700 nodes, the
+// second operand negated on odd pairs), enough to double the hash-cons
+// table several times. It returns the inputs, the operand pairs in
+// creation order and the literal each produced.
+func manyAnds(b *Builder) (ins []Lit, pairs [][2]Lit, lits []Lit) {
+	for i := 0; i < 600; i++ {
+		ins = append(ins, b.Input())
+	}
+	for i := range ins {
+		for j := i + 1; j < len(ins); j++ {
+			x, y := ins[i], ins[j]
+			if (i+j)%2 == 1 {
+				y = y.Not()
+			}
+			pairs = append(pairs, [2]Lit{x, y})
+			lits = append(lits, b.And(x, y))
+		}
+	}
+	return ins, pairs, lits
 }
 
 func TestConstWConstVal(t *testing.T) {
@@ -203,5 +251,42 @@ func TestTseitinAgreesWithEval(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+
+	// The same agreement on a builder whose table has grown past 2^17
+	// nodes: xor-chains over random nodes of manyAnds, encoded into one
+	// solver and checked under random input assignments.
+	b := NewBuilder()
+	ins, _, lits := manyAnds(b)
+	rng := rand.New(rand.NewSource(7))
+	var outs []Lit
+	for r := 0; r < 8; r++ {
+		acc := False
+		for k := 0; k < 64; k++ {
+			acc = b.Xor(acc, b.And(lits[rng.Intn(len(lits))], lits[rng.Intn(len(lits))].Not()))
+		}
+		outs = append(outs, acc)
+	}
+	s := sat.New()
+	m := NewVarMap()
+	var sOuts []sat.Lit
+	for _, o := range outs {
+		sOuts = append(sOuts, b.ToSAT(s, m, o))
+	}
+	for trial := 0; trial < 4; trial++ {
+		in := map[Lit]bool{}
+		var assume []sat.Lit
+		for _, l := range ins {
+			in[l] = rng.Intn(2) == 1
+			assume = append(assume, sat.MkLit(b.SATVar(s, m, l), !in[l]))
+		}
+		if !s.Solve(assume...) {
+			t.Fatalf("trial %d: pinned inputs unsatisfiable", trial)
+		}
+		for k, o := range outs {
+			if got, want := s.Value(sOuts[k].Var()) != sOuts[k].Neg(), b.Eval(in, o); got != want {
+				t.Fatalf("trial %d output %d: SAT=%v Eval=%v", trial, k, got, want)
+			}
+		}
 	}
 }

@@ -176,10 +176,12 @@ type loc struct {
 func (c *Ctx) ResolveLoc(e ast.Expr) (loc, *Failure) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		if i := c.Seq.Local(x.Name); i >= 0 {
+		switch {
+		case x.Slot > 0:
+			i := int(x.Slot - 1)
 			return loc{c.L.LocalOff(c.Seq, i), cellsOf(c.Seq.Locals[i].Type)}, nil
-		}
-		if i := c.P.Global(x.Name); i >= 0 {
+		case x.Slot < 0:
+			i := int(-x.Slot - 1)
 			return loc{c.L.GlobalOff(i), cellsOf(c.P.Globals[i].Type)}, nil
 		}
 		return loc{}, &Failure{Kind: FailAssert, Pos: x.P, Msg: "interp: unknown variable " + x.Name}
@@ -191,12 +193,16 @@ func (c *Ctx) ResolveLoc(e ast.Expr) (loc, *Failure) {
 		if slot == 0 {
 			return loc{}, &Failure{Kind: FailNull, Pos: x.P, Msg: types.ExprString(x)}
 		}
-		sn, err := c.P.StructOf(c.Seq, x)
-		if err != nil {
-			return loc{}, &Failure{Kind: FailAssert, Pos: x.P, Msg: err.Error()}
+		if x.Struct == 0 {
+			msg := "interp: unknown field " + x.Name
+			if _, err := c.P.StructOf(c.Seq, x); err != nil {
+				msg = err.Error()
+			}
+			return loc{}, &Failure{Kind: FailAssert, Pos: x.P, Msg: msg}
 		}
-		off, err := c.L.FieldOff(sn, x.Name, slot)
-		if err != nil {
+		off, ok := c.L.FieldCell(int(x.Struct-1), int(x.Field), slot)
+		if !ok {
+			_, err := c.L.FieldOff(c.P.Structs[x.Struct-1].Name, x.Name, slot)
 			return loc{}, &Failure{Kind: FailBounds, Pos: x.P, Msg: err.Error()}
 		}
 		return loc{off, 1}, nil
@@ -320,7 +326,7 @@ func (c *Ctx) Eval(e ast.Expr) (int32, *Failure) {
 	case *ast.NullLit:
 		return 0, nil
 	case *ast.Ident:
-		if x.Name == ir.TidVar {
+		if x.Slot == 0 && x.Name == ir.TidVar {
 			return int32(c.Seq.Tid), nil
 		}
 		l, f := c.ResolveLoc(x)
@@ -536,20 +542,17 @@ func (c *Ctx) evalBuiltin(x *ast.CallExpr) (int32, *Failure) {
 func (c *Ctx) evalNew(x *ast.NewExpr) (int32, *Failure) {
 	site := c.P.Sites[x.Site]
 	slot := int32(site.Slot)
-	si := c.P.Sketch.Info.Structs[x.Type]
-	ctor := si.CtorFields()
-	argOf := map[int]ast.Expr{}
-	for i, fi := range ctor {
-		argOf[fi] = x.Args[i]
-	}
-	for fi, fld := range si.Fields {
+	st := &c.P.Structs[site.StructIdx]
+	ctor := st.Ctor
+	for fi, fld := range st.Info.Fields {
 		var v int32
-		if a, ok := argOf[fi]; ok {
-			av, f := c.Eval(a)
+		if len(ctor) > 0 && ctor[0] == fi {
+			av, f := c.Eval(x.Args[len(st.Ctor)-len(ctor)])
 			if f != nil {
 				return 0, f
 			}
 			v = av
+			ctor = ctor[1:]
 		} else if fld.Default != nil {
 			dv, f := c.Eval(fld.Default)
 			if f != nil {
@@ -557,10 +560,7 @@ func (c *Ctx) evalNew(x *ast.NewExpr) (int32, *Failure) {
 			}
 			v = dv
 		}
-		off, err := c.L.FieldOff(x.Type, fld.Name, slot)
-		if err != nil {
-			return 0, &Failure{Kind: FailBounds, Pos: x.P, Msg: err.Error()}
-		}
+		off, _ := c.L.FieldCell(site.StructIdx, fi, slot)
 		c.St.Cells[off] = v
 	}
 	return slot, nil

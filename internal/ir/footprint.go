@@ -72,10 +72,13 @@ func Footprints(p *Program, cand desugar.Candidate) [][]Footprint {
 }
 
 type fpAnalyzer struct {
-	p      *Program
-	seq    *Seq
-	cand   desugar.Candidate
-	consts map[string]int64 // dominance-proven constant locals
+	p    *Program
+	seq  *Seq
+	cand desugar.Candidate
+	// consts[i] is local i's value when known[i] (dominance-proven
+	// constant locals).
+	consts []int64
+	known  []bool
 
 	fp *Footprint // footprint under construction
 }
@@ -102,21 +105,22 @@ type localInfo struct {
 // (the defining step's guard conjunction is an identity-prefix of the
 // reader's, so a read implies the definition ran).
 func (a *fpAnalyzer) findConstLocals() {
-	a.consts = map[string]int64{}
-	info := map[string]*localInfo{}
-	at := func(name string) *localInfo {
-		li := info[name]
-		if li == nil {
-			li = &localInfo{}
-			info[name] = li
+	n := len(a.seq.Locals)
+	a.consts, a.known = make([]int64, n), make([]bool, n)
+	info := make([]localInfo, n)
+	// at returns the record of the local id names, or nil for any other
+	// identifier.
+	at := func(id *ast.Ident) *localInfo {
+		if id.Slot <= 0 {
+			return nil
 		}
-		return li
+		return &info[id.Slot-1]
 	}
 
 	noteReads := func(e ast.Expr, occ occurrence) {
 		ast.WalkExpr(e, func(x ast.Expr) {
-			if id, ok := x.(*ast.Ident); ok && a.seq.Local(id.Name) >= 0 {
-				li := at(id.Name)
+			if id, ok := x.(*ast.Ident); ok && id.Slot > 0 {
+				li := at(id)
 				li.reads = append(li.reads, occ)
 			}
 		})
@@ -130,8 +134,8 @@ func (a *fpAnalyzer) findConstLocals() {
 			}
 		case *ast.AssignStmt:
 			lhs := a.resolveRegen(x.LHS)
-			if id, ok := lhs.(*ast.Ident); ok && a.seq.Local(id.Name) >= 0 {
-				li := at(id.Name)
+			if id, ok := lhs.(*ast.Ident); ok && id.Slot > 0 {
+				li := at(id)
 				li.assigns++
 				if top && li.assigns == 1 {
 					li.def, li.rhs = occ, x.RHS
@@ -160,8 +164,8 @@ func (a *fpAnalyzer) findConstLocals() {
 	markBuiltinWrites := func(e ast.Expr, _ occurrence) {
 		ast.WalkExpr(e, func(x ast.Expr) {
 			if c, ok := x.(*ast.CallExpr); ok && len(c.Args) > 0 {
-				if id, ok := a.resolveRegen(c.Args[0]).(*ast.Ident); ok {
-					at(id.Name).impure = true
+				if id, ok := a.resolveRegen(c.Args[0]).(*ast.Ident); ok && id.Slot > 0 {
+					at(id).impure = true
 				}
 			}
 		})
@@ -210,13 +214,13 @@ func (a *fpAnalyzer) findConstLocals() {
 
 	// Fold in step order so constant chains (x = 2; y = x + 1) resolve.
 	type cdef struct {
-		name string
-		li   *localInfo
+		local int
+		li    *localInfo
 	}
 	var defs []cdef
-	for name, li := range info {
-		if li.assigns == 1 && !li.impure {
-			defs = append(defs, cdef{name, li})
+	for i := range info {
+		if li := &info[i]; li.assigns == 1 && !li.impure {
+			defs = append(defs, cdef{i, li})
 		}
 	}
 	// Deterministic order: by definition position.
@@ -233,8 +237,16 @@ func (a *fpAnalyzer) findConstLocals() {
 		if !ok || !a.readsDominated(d.li) {
 			continue
 		}
-		a.consts[d.name] = v
+		a.consts[d.local], a.known[d.local] = v, true
 	}
+}
+
+// constOf returns the proven constant value of the local id names.
+func (a *fpAnalyzer) constOf(id *ast.Ident) (int64, bool) {
+	if id.Slot <= 0 || !a.known[id.Slot-1] {
+		return 0, false
+	}
+	return a.consts[id.Slot-1], true
 }
 
 // readsDominated checks every read happens after the definition and
@@ -313,10 +325,7 @@ func (a *fpAnalyzer) foldConst(e ast.Expr) (int64, bool) {
 		if x.Name == TidVar {
 			return int64(a.seq.Tid), true
 		}
-		if v, ok := a.consts[x.Name]; ok {
-			return v, true
-		}
-		return 0, false
+		return a.constOf(x)
 	case *ast.Hole:
 		meta := a.p.Sketch.Holes[x.ID]
 		v := a.cand.Value(x.ID)
@@ -463,21 +472,23 @@ func (a *fpAnalyzer) write(e ast.Expr) {
 func (a *fpAnalyzer) target(e ast.Expr) ([]Loc, bool) {
 	switch x := a.resolveRegen(e).(type) {
 	case *ast.Ident:
-		if a.seq.Local(x.Name) >= 0 || x.Name == TidVar {
+		if x.Slot > 0 || x.Name == TidVar {
 			return nil, true
 		}
-		if i := a.p.Global(x.Name); i >= 0 {
+		if x.Slot < 0 {
+			i := int(-x.Slot - 1)
 			return []Loc{{Global: i, Lo: 0, Hi: cellCount(a.p.Globals[i].Type)}}, true
 		}
 		return nil, false
 	case *ast.FieldExpr:
 		a.reads(x.X)
-		sn, err := a.p.StructOf(a.seq, x)
-		if err != nil {
+		if x.Struct == 0 {
 			return nil, false
 		}
+		st := &a.p.Structs[x.Struct-1]
+		sn := st.Name
 		if slot, ok := a.foldConst(x.X); ok {
-			if slot <= 0 || int(slot) > a.p.Arenas[sn] {
+			if slot <= 0 || int(slot) > st.Arena {
 				// Null (faults before any heap access) or impossible.
 				return nil, true
 			}

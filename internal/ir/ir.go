@@ -62,13 +62,16 @@ type Step struct {
 type Seq struct {
 	Name   string
 	Tid    int // value of __tid while running this sequence
+	Index  int // position in Program.Seqs
 	Steps  []*Step
 	Locals []Var
 	// localIdx maps a local name to its Locals index.
 	localIdx map[string]int
 }
 
-// Local returns the index of a named local, or -1.
+// Local returns the index of a named local, or -1. Evaluators do not
+// call it: lowering stores the index on every identifier
+// (ast.Ident.Slot).
 func (s *Seq) Local(name string) int {
 	if i, ok := s.localIdx[name]; ok {
 		return i
@@ -78,8 +81,19 @@ func (s *Seq) Local(name string) int {
 
 // AllocSite records the static arena slot of one `new` occurrence.
 type AllocSite struct {
-	Struct string
-	Slot   int // 1-based slot within the struct's arena
+	Struct    string
+	StructIdx int // Struct's index in Program.Structs
+	Slot      int // 1-based slot within the struct's arena
+}
+
+// Struct is one struct declaration of a lowered program. Field
+// accesses carry their struct's index in Program.Structs
+// (ast.FieldExpr.Struct).
+type Struct struct {
+	Name  string
+	Info  *types.StructInfo
+	Arena int   // allocation slots; slot 0 is null
+	Ctor  []int // Info.CtorFields(): argument i of `new` sets field Ctor[i]
 }
 
 // Program is the lowered form of a sketch.
@@ -108,8 +122,38 @@ type Program struct {
 	// Arenas gives the number of allocation slots per struct type
 	// (slot 0 is reserved for null).
 	Arenas map[string]int
+	// Structs lists the sketch's struct declarations in order.
+	Structs   []Struct
+	structIdx map[string]int
 	// Sites maps allocation-site ids to arena slots.
 	Sites []AllocSite
+}
+
+// Seqs returns every sequence in layout order: GlobalInit, Prologue,
+// the threads, Epilogue and Spec, skipping absent ones. Seq.Index is
+// the position in this list.
+func (p *Program) Seqs() []*Seq {
+	var out []*Seq
+	for _, s := range []*Seq{p.GlobalInit, p.Prologue} {
+		if s != nil {
+			out = append(out, s)
+		}
+	}
+	out = append(out, p.Threads...)
+	for _, s := range []*Seq{p.Epilogue, p.Spec} {
+		if s != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// StructIndex returns the index of a named struct in Structs, or -1.
+func (p *Program) StructIndex(name string) int {
+	if i, ok := p.structIdx[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // Global returns the index of a named global, or -1.

@@ -397,3 +397,68 @@ harness void Main() {
 		t.Fatalf("tid type %v err %v", tid, err)
 	}
 }
+
+// Lowering binds every name once, to the slot of the sequence that
+// reaches it: each thread's clone of the fork body resolves its locals
+// to its own sequence, and a node two sequences would bind differently
+// is rejected rather than bound for one of them.
+func TestResolveNamesPerSequence(t *testing.T) {
+	src := `
+struct Cell { int v; }
+Cell c;
+int g;
+harness void Main() {
+	c = new Cell(0);
+	int y = 1;
+	g = y;
+	fork (i; 2) { int x = g; c.v = x + i; }
+	g = 3;
+}
+`
+	p := lowerSrc(t, src, "Main", desugar.Options{})
+	for _, th := range p.Threads {
+		for _, step := range th.Steps {
+			for _, st := range step.Body {
+				ast.WalkExprs(st, func(e ast.Expr) {
+					switch x := e.(type) {
+					case *ast.Ident:
+						if i := th.Local(x.Name); i >= 0 && int(x.Slot) != i+1 {
+							t.Fatalf("%s: %s has slot %d, want local %d", th.Name, x.Name, x.Slot, i+1)
+						}
+						if i := p.Global(x.Name); i >= 0 && th.Local(x.Name) < 0 && int(x.Slot) != -(i+1) {
+							t.Fatalf("%s: %s has slot %d, want global %d", th.Name, x.Name, x.Slot, i)
+						}
+					case *ast.FieldExpr:
+						if x.Struct <= 0 || p.Structs[x.Struct-1].Name != "Cell" || p.Structs[x.Struct-1].Info.Fields[x.Field].Name != x.Name {
+							t.Fatalf("%s: .%s resolved to struct %d field %d", th.Name, x.Name, x.Struct, x.Field)
+						}
+					}
+				})
+			}
+		}
+	}
+
+	lowerShared := func(from int) error {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := desugar.Desugar(prog, "Main", desugar.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := sk.Harness.Body.Stmts
+		body[len(body)-1] = body[from]
+		_, err = Lower(sk)
+		return err
+	}
+	// A prologue statement over globals only binds alike in the
+	// epilogue; sharing it is harmless.
+	if err := lowerShared(0); err != nil {
+		t.Fatalf("sharing c = new Cell(0) with the epilogue: %v", err)
+	}
+	// g = y reads a prologue local the epilogue does not have.
+	if err := lowerShared(2); err == nil || !strings.Contains(err.Error(), "bind it differently") {
+		t.Fatalf("sharing g = y with the epilogue: err = %v, want a binding conflict", err)
+	}
+}

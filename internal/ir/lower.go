@@ -126,6 +126,9 @@ func Lower(sk *desugar.Sketch) (*Program, error) {
 	if err := p.assignAllocSites(); err != nil {
 		return nil, err
 	}
+	if err := p.resolve(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -257,18 +260,8 @@ func resolveType(info *types.Info, te *ast.TypeExpr) (types.Type, error) {
 // and epilogue statements are not cloned), so sites are reset first:
 // lowering the same sketch twice must yield the same program.
 func (p *Program) assignAllocSites() error {
-	seqs := []*Seq{p.GlobalInit, p.Prologue}
-	seqs = append(seqs, p.Threads...)
-	if p.Epilogue != nil {
-		seqs = append(seqs, p.Epilogue)
-	}
-	if p.Spec != nil {
-		seqs = append(seqs, p.Spec)
-	}
+	seqs := p.Seqs()
 	for _, s := range seqs {
-		if s == nil {
-			continue
-		}
 		for _, st := range s.Steps {
 			for _, b := range st.Body {
 				ast.WalkExprs(b, func(e ast.Expr) {
@@ -280,9 +273,6 @@ func (p *Program) assignAllocSites() error {
 		}
 	}
 	for _, s := range seqs {
-		if s == nil {
-			continue
-		}
 		for _, st := range s.Steps {
 			for _, b := range st.Body {
 				ast.WalkExprs(b, func(e ast.Expr) {

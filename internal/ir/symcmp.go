@@ -115,7 +115,7 @@ func (c *symCmp) assign(xa, xb *ast.AssignStmt, top bool) bool {
 	ida, isIdA := lhsA.(*ast.Ident)
 	idb, isIdB := lhsB.(*ast.Ident)
 	if isIdA && isIdB {
-		la, lb := c.a.seq.Local(ida.Name), c.b.seq.Local(idb.Name)
+		la, lb := localOf(ida), localOf(idb)
 		if (la >= 0) != (lb >= 0) {
 			return false
 		}
@@ -133,8 +133,8 @@ func (c *symCmp) assign(xa, xb *ast.AssignStmt, top bool) bool {
 			if t.Base == types.Ref || t.IsArray() {
 				return false
 			}
-			_, ca := c.a.consts[ida.Name]
-			_, cb := c.b.consts[idb.Name]
+			_, ca := c.a.constOf(ida)
+			_, cb := c.b.constOf(idb)
 			va, oka := c.a.foldConst(xa.RHS)
 			vb, okb := c.b.foldConst(xb.RHS)
 			return ca && cb && oka && okb && va != vb
@@ -189,7 +189,7 @@ func (c *symCmp) structural(ra, rb ast.Expr) bool {
 		if !ok {
 			return false
 		}
-		la, lb := c.a.seq.Local(xa.Name), c.b.seq.Local(xb.Name)
+		la, lb := localOf(xa), localOf(xb)
 		if (la >= 0) != (lb >= 0) {
 			return false
 		}
@@ -201,14 +201,14 @@ func (c *symCmp) structural(ra, rb ast.Expr) bool {
 			// expression did not fold would evaluate differently under
 			// the identity correspondence of local blocks: the values
 			// must agree (e.g. `(p + t) % 2` guards reject here).
-			va, ca := c.a.consts[xa.Name]
-			vb, cb := c.b.consts[xb.Name]
+			va, ca := c.a.constOf(xa)
+			vb, cb := c.b.constOf(xb)
 			if ca != cb || (ca && va != vb) {
 				return false
 			}
 			return true
 		}
-		ga, gb := c.p.Global(xa.Name), c.p.Global(xb.Name)
+		ga, gb := globalOf(xa), globalOf(xb)
 		if ga < 0 || ga != gb {
 			return false
 		}
@@ -273,7 +273,7 @@ func (c *symCmp) refExpr(ra, rb ast.Expr) bool {
 		if !ok {
 			return false
 		}
-		la, lb := c.a.seq.Local(xa.Name), c.b.seq.Local(xb.Name)
+		la, lb := localOf(xa), localOf(xb)
 		if (la >= 0) != (lb >= 0) {
 			return false
 		}
@@ -283,7 +283,7 @@ func (c *symCmp) refExpr(ra, rb ast.Expr) bool {
 			// their defining allocation or receiver fold.
 			return la == lb
 		}
-		ga, gb := c.p.Global(xa.Name), c.p.Global(xb.Name)
+		ga, gb := globalOf(xa), globalOf(xb)
 		return ga >= 0 && ga == gb
 	case *ast.NewExpr:
 		xb, ok := rb.(*ast.NewExpr)
@@ -332,19 +332,19 @@ func (c *symCmp) fieldExpr(fa, fb *ast.FieldExpr) bool {
 	if fa.Name != fb.Name {
 		return false
 	}
-	sa, errA := c.p.StructOf(c.a.seq, fa)
-	sb, errB := c.p.StructOf(c.b.seq, fb)
-	if errA != nil || errB != nil || sa != sb {
+	if fa.Struct == 0 || fa.Struct != fb.Struct {
 		return false
 	}
+	st := &c.p.Structs[fa.Struct-1]
+	sa := st.Name
 	va, oka := c.a.foldConst(fa.X)
 	vb, okb := c.b.foldConst(fb.X)
 	if oka != okb {
 		return false
 	}
 	if oka {
-		inA := va > 0 && int(va) <= c.p.Arenas[sa]
-		inB := vb > 0 && int(vb) <= c.p.Arenas[sa]
+		inA := va > 0 && int(va) <= st.Arena
+		inB := vb > 0 && int(vb) <= st.Arena
 		if inA != inB {
 			return false
 		}
@@ -369,7 +369,7 @@ func (c *symCmp) indexExpr(xa, xb *ast.IndexExpr) bool {
 	if !okA || !okB {
 		return false
 	}
-	la, lb := c.a.seq.Local(ida.Name), c.b.seq.Local(idb.Name)
+	la, lb := localOf(ida), localOf(idb)
 	if (la >= 0) != (lb >= 0) {
 		return false
 	}
@@ -389,7 +389,7 @@ func (c *symCmp) indexExpr(xa, xb *ast.IndexExpr) bool {
 		}
 		return c.expr(xa.Index, xb.Index)
 	}
-	ga, gb := c.p.Global(ida.Name), c.p.Global(idb.Name)
+	ga, gb := globalOf(ida), globalOf(idb)
 	if ga < 0 || ga != gb {
 		return false
 	}

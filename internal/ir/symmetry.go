@@ -339,9 +339,8 @@ func collectForkLocals(p *Program, an []*fpAnalyzer, members []int, cl *SymClass
 		vals := make([]int64, len(members))
 		nConst := 0
 		for i, m := range members {
-			name := p.Threads[m].Locals[li].Name
-			if val, ok := an[m].consts[name]; ok {
-				vals[i] = val
+			if an[m].known[li] {
+				vals[i] = an[m].consts[li]
 				nConst++
 			}
 		}
@@ -364,7 +363,7 @@ func collectForkLocals(p *Program, an []*fpAnalyzer, members []int, cl *SymClass
 		for si, s := range seq0.Steps {
 			for _, st := range s.Body {
 				if as, ok := st.(*ast.AssignStmt); ok {
-					if id, ok := as.LHS.(*ast.Ident); ok && seq0.Local(id.Name) == li {
+					if id, ok := as.LHS.(*ast.Ident); ok && localOf(id) == li {
 						def = si
 					}
 				}

@@ -17,7 +17,13 @@ const cacheCap = 4096
 // projected-entry prefix.
 type cachedState struct {
 	sym sym.Snapshot
-	st  *encState
+	st  encState
+}
+
+// sizeBytes is the state's retained memory: 4 bytes per literal of the
+// cell snapshot and of the per-thread liveness.
+func (cs *cachedState) sizeBytes() int64 {
+	return cs.sym.SizeBytes() + 4*int64(len(cs.st.threadActive))
 }
 
 // Cache memoizes projection encodings per trace-entry prefix on a
@@ -36,7 +42,7 @@ type Cache struct {
 	e         *sym.Evaluator
 	base      sym.Snapshot // state after GlobalInit + Prologue
 	snaps     map[string]cachedState
-	snapBytes int64 // estimated retained bytes of snaps (keys + cells)
+	snapBytes int64 // retained bytes of snaps: key bytes + sizeBytes
 
 	// Hits counts Encode calls that restored at least one entry;
 	// Misses counts calls replayed from the base state. SavedEntries
@@ -65,25 +71,29 @@ func NewCache(b *circuit.Builder, l *state.Layout, holes []circuit.Word) *Cache 
 	}
 }
 
-// prefixKeys packs entries into per-prefix byte-string keys. keys[i]
-// identifies the encoding of entries[0..i]. The key folds in the
-// othersFollow lookahead bit: the encoding of a conditional entry
-// depends on whether any later entry belongs to another thread, so two
-// traces with equal prefix entries but different suffixes may still
-// encode the prefix differently — the flag keeps such prefixes apart.
-func prefixKeys(entries []Entry) []string {
+// prefixKeys packs entries into per-prefix byte-string keys: keys[i]
+// identifies the encoding of entries[0..i] and is the 4(i+1)-byte
+// prefix of one shared string. The key folds in each entry's lookahead
+// bit: the encoding of a conditional entry depends on whether any later
+// entry belongs to another thread, so two traces with equal prefix
+// entries but different suffixes may still encode the prefix
+// differently — the flag keeps such prefixes apart.
+func prefixKeys(entries []Entry, others []bool) []string {
 	buf := make([]byte, 0, 4*len(entries))
-	keys := make([]string, len(entries))
 	for i, en := range entries {
 		var flags byte
 		if en.Deadlock {
 			flags |= 1
 		}
-		if othersFollow(entries, i) {
+		if others[i] {
 			flags |= 2
 		}
 		buf = append(buf, byte(en.Thread), byte(en.Step), byte(en.Step>>8), flags)
-		keys[i] = string(buf)
+	}
+	all := string(buf)
+	keys := make([]string, len(entries))
+	for i := range keys {
+		keys[i] = all[:4*(i+1)]
 	}
 	return keys
 }
@@ -92,11 +102,12 @@ func prefixKeys(entries []Entry) []string {
 // returned literal is identical to the uncached encoding's.
 func (c *Cache) Encode(entries []Entry) (circuit.Lit, error) {
 	sp := c.Tracer.Start("project.encode", c.Parent)
-	keys := prefixKeys(entries)
+	others := lookahead(entries)
+	keys := prefixKeys(entries, others)
 
 	// Longest memoized prefix wins.
 	start := 0
-	st := newEncState()
+	st := newEncState(c.l.Prog.NumThreads())
 	c.e.Restore(c.base)
 	for i := len(entries); i >= 1; i-- {
 		if cs, ok := c.snaps[keys[i-1]]; ok {
@@ -114,7 +125,7 @@ func (c *Cache) Encode(entries []Entry) (circuit.Lit, error) {
 	}
 
 	for i := start; i < len(entries); i++ {
-		applyEntry(c.b, c.e, c.l.Prog, st, entries[i], othersFollow(entries, i))
+		applyEntry(c.b, c.e, c.l.Prog, &st, entries[i], others[i])
 		if c.e.Err() != nil {
 			break
 		}
@@ -125,12 +136,12 @@ func (c *Cache) Encode(entries []Entry) (circuit.Lit, error) {
 			}
 			cs := cachedState{sym: c.e.Snapshot(), st: st.clone()}
 			c.snaps[keys[i]] = cs
-			c.snapBytes += int64(len(keys[i])) + cs.sym.SizeBytes()
+			c.snapBytes += int64(len(keys[i])) + cs.sizeBytes()
 		}
 	}
 	// finishEncode mutates the evaluator past the last snapshot; that
 	// is fine — every later Encode starts from a Restore.
-	lit, err := finishEncode(c.b, c.e, c.l.Prog, st)
+	lit, err := finishEncode(c.b, c.e, c.l.Prog, &st)
 	if sp.Active() {
 		sp.End(obs.Int("entries", int64(len(entries))),
 			obs.Int("restored", int64(start)),
@@ -139,17 +150,11 @@ func (c *Cache) Encode(entries []Entry) (circuit.Lit, error) {
 	return lit, err
 }
 
-// builderNodeBytes approximates the per-node footprint of the
-// hash-consed circuit builder (two literals, the hash-cons map entry,
-// and amortized slice growth). The encoded projection clauses live in
-// the builder, so this is the dominant term of a warm context's size.
-const builderNodeBytes = 32
-
-// SizeBytes estimates the cache's retained memory: the shared builder's
-// node array (the encoded clauses) plus every memoized snapshot. The
-// warm-state store (Store) evicts on this estimate.
+// SizeBytes returns the cache's retained memory: the shared builder's
+// arrays (the encoded clauses) plus every memoized prefix's key and
+// state. The warm-state store (Store) evicts on it.
 func (c *Cache) SizeBytes() int64 {
-	return int64(c.b.NumNodes())*builderNodeBytes + c.snapBytes
+	return c.b.SizeBytes() + c.snapBytes
 }
 
 func hitFlag(start int) int64 {

@@ -21,6 +21,7 @@ package project
 
 import (
 	"fmt"
+	"slices"
 
 	"psketch/internal/circuit"
 	"psketch/internal/ir"
@@ -107,46 +108,41 @@ func Validate(p *ir.Program, entries []Entry) error {
 }
 
 // encState is the projection-local control state threaded through the
-// entries: the still-following-the-trace literal, per-thread liveness,
-// and the accumulated deadlock condition.
+// entries: the still-following-the-trace literal, per-thread liveness
+// (indexed by thread), and the accumulated deadlock condition.
 type encState struct {
 	active       circuit.Lit
-	threadActive map[int]circuit.Lit
+	threadActive []circuit.Lit
 	blockedAll   circuit.Lit
 	anyDeadlock  bool
 }
 
-func newEncState() *encState {
-	return &encState{
+func newEncState(threads int) encState {
+	st := encState{
 		active:       circuit.True,
-		threadActive: make(map[int]circuit.Lit),
+		threadActive: make([]circuit.Lit, threads),
 		blockedAll:   circuit.True,
 	}
-}
-
-func (st *encState) tact(t int) circuit.Lit {
-	if l, ok := st.threadActive[t]; ok {
-		return l
+	for t := range st.threadActive {
+		st.threadActive[t] = circuit.True
 	}
-	return circuit.True
+	return st
 }
 
-func (st *encState) clone() *encState {
+func (st *encState) clone() encState {
 	cp := *st
-	cp.threadActive = make(map[int]circuit.Lit, len(st.threadActive))
-	for k, v := range st.threadActive {
-		cp.threadActive[k] = v
-	}
-	return &cp
+	cp.threadActive = slices.Clone(st.threadActive)
+	return cp
 }
 
 // applyEntry encodes one projected statement instance, mutating the
-// evaluator and the control state. othersAfter is othersFollow(entries,
-// i) precomputed by the caller (it looks at entries after this one).
+// evaluator and the control state. othersAfter is the entry's
+// lookahead bit (see lookahead): whether a later entry belongs to
+// another thread.
 func applyEntry(b *circuit.Builder, e *sym.Evaluator, p *ir.Program, st *encState, en Entry, othersAfter bool) {
 	seq := p.Threads[en.Thread]
 	step := seq.Steps[en.Step]
-	base := b.And(st.active, st.tact(en.Thread))
+	base := b.And(st.active, st.threadActive[en.Thread])
 	g, c := e.StepParts(seq, step, base)
 	switch {
 	case en.Deadlock:
@@ -156,7 +152,7 @@ func applyEntry(b *circuit.Builder, e *sym.Evaluator, p *ir.Program, st *encStat
 		blocked := b.And(g, c.Not())
 		st.blockedAll = b.And(st.blockedAll, blocked)
 		st.anyDeadlock = true
-		st.threadActive[en.Thread] = b.And(st.tact(en.Thread), blocked.Not())
+		st.threadActive[en.Thread] = b.And(st.threadActive[en.Thread], blocked.Not())
 		g = b.And(g, c)
 	case step.Cond != nil:
 		blocked := b.And(g, c.Not())
@@ -175,9 +171,9 @@ func applyEntry(b *circuit.Builder, e *sym.Evaluator, p *ir.Program, st *encStat
 			// later steps of this thread would execute from a state
 			// that skipped the blocked step.
 			dl := blocked
-			for u := range p.Threads {
+			for u, ta := range st.threadActive {
 				if u != en.Thread {
-					dl = b.And(dl, st.tact(u))
+					dl = b.And(dl, ta)
 				}
 			}
 			e.FailIf(dl)
@@ -197,8 +193,8 @@ func finishEncode(b *circuit.Builder, e *sym.Evaluator, p *ir.Program, st *encSt
 	// The epilogue's correctness checks apply when the trace ran to
 	// completion and no thread is stuck.
 	epiActive := st.active
-	for t := range p.Threads {
-		epiActive = b.And(epiActive, st.tact(t))
+	for _, ta := range st.threadActive {
+		epiActive = b.And(epiActive, ta)
 	}
 	e.RunSeq(p.Epilogue, epiActive)
 	if err := e.Err(); err != nil {
@@ -214,21 +210,31 @@ func Encode(b *circuit.Builder, l *state.Layout, holes []circuit.Word, entries [
 	e := sym.New(b, l, holes)
 	e.RunSeq(p.GlobalInit, circuit.True)
 	e.RunSeq(p.Prologue, circuit.True)
-	st := newEncState()
+	st := newEncState(p.NumThreads())
+	others := lookahead(entries)
 	for i, en := range entries {
-		applyEntry(b, e, p, st, en, othersFollow(entries, i))
+		applyEntry(b, e, p, &st, en, others[i])
 	}
-	return finishEncode(b, e, p, st)
+	return finishEncode(b, e, p, &st)
 }
 
-// othersFollow reports whether any entry after position i belongs to a
-// different thread ("some other thread can make progress").
-func othersFollow(entries []Entry, i int) bool {
-	t := entries[i].Thread
-	for j := i + 1; j < len(entries); j++ {
-		if entries[j].Thread != t {
-			return true
+// lookahead reports, for every entry, whether any later entry belongs
+// to a different thread ("some other thread can make progress"). One
+// backward pass: only is the thread of every entry after i when they
+// all share one, -1 when there is none, and -2 when there are several.
+func lookahead(entries []Entry) []bool {
+	out := make([]bool, len(entries))
+	only := -1
+	for i := len(entries) - 1; i >= 0; i-- {
+		t := entries[i].Thread
+		out[i] = only == -2 || (only >= 0 && only != t)
+		switch only {
+		case -1:
+			only = t
+		case t:
+		default:
+			only = -2
 		}
 	}
-	return false
+	return out
 }

@@ -137,10 +137,14 @@ func (p *Portfolio) NumVars() int { return p.ws[0].NumVars() }
 func (p *Portfolio) NumClauses() int { return p.ws[0].NumClauses() }
 
 // NewVar allocates the same fresh variable in every worker.
-func (p *Portfolio) NewVar() int {
-	v := p.ws[0].NewVar()
+func (p *Portfolio) NewVar() int { return p.NewVars(1) }
+
+// NewVars allocates the same n fresh variables in every worker and
+// returns the first.
+func (p *Portfolio) NewVars(n int) int {
+	v := p.ws[0].NewVars(n)
 	for _, w := range p.ws[1:] {
-		w.NewVar()
+		w.NewVars(n)
 	}
 	return v
 }

@@ -56,6 +56,7 @@ package sat
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -67,23 +68,22 @@ import (
 // part the Tseitin encoder needs. Both Solver and Portfolio implement
 // it (a Portfolio broadcasts to every worker, keeping variable indices
 // aligned across them).
+//
+// AddClauses takes many clauses at once as a flat literal slice plus
+// end offsets (clause i is lits[ends[i-1]:ends[i]], with ends[-1] = 0).
+// A Portfolio processes the whole batch worker-major — each worker
+// consumes the clauses in order before the next worker starts — which
+// touches every worker's watch/assignment arrays once per batch instead
+// of once per clause. The per-worker clause stream is identical to
+// repeated AddClause calls, so behaviour (including the -j 1
+// bit-for-bit contract) is unchanged. It returns false as soon as any
+// insertion reports unsatisfiability. Likewise NewVars(n) is n NewVar
+// calls that grow every per-variable array once.
 type Adder interface {
+	NumVars() int
 	NewVar() int
+	NewVars(n int) int
 	AddClause(lits ...Lit) bool
-}
-
-// BatchAdder is the bulk-insertion extension of Adder: AddClauses takes
-// many clauses at once as a flat literal slice plus end offsets (clause
-// i is lits[ends[i-1]:ends[i]], with ends[-1] = 0). A Portfolio
-// processes the whole batch worker-major — each worker consumes the
-// clauses in order before the next worker starts — which touches every
-// worker's watch/assignment arrays once per batch instead of once per
-// clause. The per-worker clause stream is identical to repeated
-// AddClause calls, so behaviour (including the -j 1 bit-for-bit
-// contract) is unchanged. Returns false as soon as any insertion
-// reports unsatisfiability.
-type BatchAdder interface {
-	Adder
 	AddClauses(lits []Lit, ends []int) bool
 }
 
@@ -322,16 +322,43 @@ func (s *Solver) NumVars() int { return len(s.level) }
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // NewVar allocates a fresh variable and returns its index.
-func (s *Solver) NewVar() int {
+func (s *Solver) NewVar() int { return s.NewVars(1) }
+
+// initWatches is the watch-list capacity each new literal starts with;
+// it saves the 1→2→4 regrowths every list would otherwise pay.
+const initWatches = 4
+
+// NewVars allocates n fresh variables, numbered consecutively, and
+// returns the first. It is n NewVar calls, but grows each per-variable
+// array at most once, and carves the new literals' initial watch lists
+// out of one slab (each a full slice expression, so a list that
+// outgrows its share moves out instead of overwriting its neighbour).
+func (s *Solver) NewVars(n int) int {
 	v := len(s.level)
-	s.vals = append(s.vals, lUndef, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, noRef)
-	s.activity = append(s.activity, 0)
-	s.polarity = append(s.polarity, s.cfg.DefaultPolarity) // true = branch false first
-	s.seen = append(s.seen, 0)
-	s.watches = append(s.watches, nil, nil)
-	s.order.insert(v)
+	s.vals = slices.Grow(s.vals, 2*n)
+	s.level = slices.Grow(s.level, n)
+	s.reason = slices.Grow(s.reason, n)
+	s.activity = slices.Grow(s.activity, n)
+	s.polarity = slices.Grow(s.polarity, n)
+	s.seen = slices.Grow(s.seen, n)
+	s.watches = slices.Grow(s.watches, 2*n)
+	s.order.heap = slices.Grow(s.order.heap, n)
+	s.order.indices = slices.Grow(s.order.indices, n)
+	slab := make([]watcher, 2*n*initWatches)
+	for i := 0; i < n; i++ {
+		s.vals = append(s.vals, lUndef, lUndef)
+		s.level = append(s.level, 0)
+		s.reason = append(s.reason, noRef)
+		s.activity = append(s.activity, 0)
+		s.polarity = append(s.polarity, s.cfg.DefaultPolarity) // true = branch false first
+		s.seen = append(s.seen, 0)
+		for j := 0; j < 2; j++ {
+			w := slab[:0:initWatches]
+			slab = slab[initWatches:]
+			s.watches = append(s.watches, w)
+		}
+		s.order.insert(v + i)
+	}
 	return v
 }
 

@@ -185,7 +185,7 @@ func TestAddClausesMatchesAddClause(t *testing.T) {
 			lits = append(lits, c...)
 			ends = append(ends, len(lits))
 		}
-		s.(BatchAdder).AddClauses(lits, ends)
+		s.AddClauses(lits, ends)
 	})
 	sv, bv := serial.Solve(), batch.Solve()
 	if sv != bv {

@@ -245,7 +245,7 @@ func TestProjectionSoundnessQueueE1(t *testing.T) {
 // workload must be resolvable with two locks — the contrast to the
 // single-lock NO. Uses multi-trace learning to keep the run short.
 // The run grows to ~10M SAT clauses; each SAT portfolio worker holds
-// its own copy, so the verdict is taken at Parallelism 1 (~1.7 GiB
+// its own copy, so the verdict is taken at Parallelism 1 (~1.9 GiB
 // peak RSS), where one copy exists.
 func TestLazyFullARAR(t *testing.T) {
 	if testing.Short() {

@@ -22,22 +22,14 @@ type Layout struct {
 	Size int // number of value cells (excluding pcs)
 
 	globalOff []int
-	heapBase  map[string]int
-	fieldIdx  map[string]int // "Struct.field" -> field position
-	fieldCnt  map[string]int
-	seqBase   map[*ir.Seq][]int // per-seq local offsets (by local index)
-	sharedEnd int               // cells [0,sharedEnd) are globals + arenas
+	heapBase  []int   // by index in Prog.Structs
+	seqBase   [][]int // by Seq.Index: per-local offsets
+	sharedEnd int     // cells [0,sharedEnd) are globals + arenas
 }
 
 // NewLayout computes the layout for a lowered program.
 func NewLayout(p *ir.Program) (*Layout, error) {
-	l := &Layout{
-		Prog:     p,
-		heapBase: map[string]int{},
-		fieldIdx: map[string]int{},
-		fieldCnt: map[string]int{},
-		seqBase:  map[*ir.Seq][]int{},
-	}
+	l := &Layout{Prog: p}
 	off := 0
 	cells := func(t types.Type) int {
 		if t.IsArray() {
@@ -50,49 +42,28 @@ func NewLayout(p *ir.Program) (*Layout, error) {
 		l.globalOff[i] = off
 		off += cells(g.Type)
 	}
-	// Heap arenas: struct names iterated deterministically via Sites
-	// plus the sketch's struct declarations.
-	for _, sd := range p.Sketch.Prog.Structs {
-		si := p.Sketch.Info.Structs[sd.Name]
-		n := len(si.Fields)
-		for fi, f := range si.Fields {
+	// Heap arenas, in struct declaration order.
+	l.heapBase = make([]int, len(p.Structs))
+	for si, st := range p.Structs {
+		for _, f := range st.Info.Fields {
 			if f.Type.IsArray() {
-				return nil, fmt.Errorf("state: struct %s has array field %s (not supported)", sd.Name, f.Name)
+				return nil, fmt.Errorf("state: struct %s has array field %s (not supported)", st.Name, f.Name)
 			}
-			l.fieldIdx[sd.Name+"."+f.Name] = fi
 		}
-		l.fieldCnt[sd.Name] = n
-		l.heapBase[sd.Name] = off
-		off += n * p.Arenas[sd.Name]
+		l.heapBase[si] = off
+		off += len(st.Info.Fields) * st.Arena
 	}
 	l.sharedEnd = off
-	for _, seq := range l.allSeqs() {
+	for _, seq := range p.Seqs() {
 		offs := make([]int, len(seq.Locals))
 		for i, v := range seq.Locals {
 			offs[i] = off
 			off += cells(v.Type)
 		}
-		l.seqBase[seq] = offs
+		l.seqBase = append(l.seqBase, offs)
 	}
 	l.Size = off
 	return l, nil
-}
-
-func (l *Layout) allSeqs() []*ir.Seq {
-	p := l.Prog
-	seqs := []*ir.Seq{}
-	for _, s := range []*ir.Seq{p.GlobalInit, p.Prologue} {
-		if s != nil {
-			seqs = append(seqs, s)
-		}
-	}
-	seqs = append(seqs, p.Threads...)
-	for _, s := range []*ir.Seq{p.Epilogue, p.Spec} {
-		if s != nil {
-			seqs = append(seqs, s)
-		}
-	}
-	return seqs
 }
 
 // GlobalOff returns the cell offset of global i.
@@ -105,21 +76,36 @@ func (l *Layout) GlobalOff(i int) int { return l.globalOff[i] }
 func (l *Layout) SharedCells() int { return l.sharedEnd }
 
 // LocalOff returns the cell offset of a sequence's local i.
-func (l *Layout) LocalOff(seq *ir.Seq, i int) int { return l.seqBase[seq][i] }
+func (l *Layout) LocalOff(seq *ir.Seq, i int) int { return l.seqBase[seq.Index][i] }
+
+// FieldCell returns the cell offset of field fi of slot (1-based) in
+// the arena of Prog.Structs[si], and false when the slot is outside
+// the arena.
+func (l *Layout) FieldCell(si, fi int, slot int32) (int, bool) {
+	st := &l.Prog.Structs[si]
+	if slot < 1 || int(slot) > st.Arena {
+		return 0, false
+	}
+	return l.heapBase[si] + (int(slot)-1)*len(st.Info.Fields) + fi, true
+}
 
 // FieldOff returns the cell offset of field f of slot s (1-based) in
-// the arena of the named struct.
+// the arena of the named struct. It looks both names up; evaluators
+// use FieldCell with the indices lowering resolved.
 func (l *Layout) FieldOff(structName, field string, slot int32) (int, error) {
-	fi, ok := l.fieldIdx[structName+"."+field]
-	if !ok {
+	si := l.Prog.StructIndex(structName)
+	fi := -1
+	if si >= 0 {
+		_, fi = l.Prog.Structs[si].Info.Field(field)
+	}
+	if fi < 0 {
 		return 0, fmt.Errorf("state: unknown field %s.%s", structName, field)
 	}
-	n := l.fieldCnt[structName]
-	arena := l.Prog.Arenas[structName]
-	if slot < 1 || int(slot) > arena {
-		return 0, fmt.Errorf("state: slot %d out of arena %s[%d]", slot, structName, arena)
+	off, ok := l.FieldCell(si, fi, slot)
+	if !ok {
+		return 0, fmt.Errorf("state: slot %d out of arena %s[%d]", slot, structName, l.Prog.Structs[si].Arena)
 	}
-	return l.heapBase[structName] + (int(slot)-1)*n + fi, nil
+	return off, nil
 }
 
 // State is a machine state: the value cells plus one program counter

@@ -114,33 +114,35 @@ func (e *Evaluator) execStmt(seq *ir.Seq, s ast.Stmt, g circuit.Lit) {
 func (e *Evaluator) resolveLoc(seq *ir.Seq, lv ast.Expr, g circuit.Lit) []locEntry {
 	switch x := lv.(type) {
 	case *ast.Ident:
-		if i := seq.Local(x.Name); i >= 0 {
+		switch {
+		case x.Slot > 0:
+			i := int(x.Slot - 1)
 			return []locEntry{{circuit.True, e.L.LocalOff(seq, i), cells(seq.Locals[i].Type)}}
-		}
-		if i := e.P.Global(x.Name); i >= 0 {
+		case x.Slot < 0:
+			i := int(-x.Slot - 1)
 			return []locEntry{{circuit.True, e.L.GlobalOff(i), cells(e.P.Globals[i].Type)}}
 		}
 		e.errorf("sym: unknown variable %s", x.Name)
 		return nil
 	case *ast.FieldExpr:
 		ref := e.evalExpr(seq, x.X, g)
-		sn, err := e.P.StructOf(seq, x)
-		if err != nil {
-			e.errorf("sym: %v", err)
+		if x.Struct == 0 {
+			if _, err := e.P.StructOf(seq, x); err != nil {
+				e.errorf("sym: %v", err)
+			} else {
+				e.errorf("sym: unknown field %s", x.Name)
+			}
 			return nil
 		}
-		arena := e.P.Arenas[sn]
+		si := int(x.Struct - 1)
+		arena := e.P.Structs[si].Arena
 		rw := circuit.ZextW(ref.w, refWidth(arena))
 		// Null dereference fails whenever this location is touched.
 		isNull := e.B.IsZeroW(rw)
 		e.fail(g, isNull)
 		var out []locEntry
 		for slot := 1; slot <= arena; slot++ {
-			off, err := e.L.FieldOff(sn, x.Name, int32(slot))
-			if err != nil {
-				e.errorf("sym: %v", err)
-				return nil
-			}
+			off, _ := e.L.FieldCell(si, int(x.Field), int32(slot))
 			eq := e.B.EqW(rw, circuit.ConstW(len(rw), int64(slot)))
 			if ok, v := eq.IsConst(); ok && !v {
 				continue
@@ -209,11 +211,11 @@ func (e *Evaluator) indexInto(base []locEntry, idx val, n int, g circuit.Lit, po
 func (e *Evaluator) readLoc(entries []locEntry, width int, signed bool) val {
 	out := circuit.ConstW(width, 0)
 	for _, en := range entries {
-		w := e.cells[en.off]
+		var w circuit.Word
 		if signed {
-			w = circuit.SextW(w, width)
+			w = circuit.SextW(e.cell(en.off), width)
 		} else {
-			w = circuit.ZextW(w, width)
+			w = circuit.ZextW(e.cell(en.off), width)
 		}
 		out = e.B.MuxW(en.cond, w, out)
 	}
@@ -226,7 +228,10 @@ func (e *Evaluator) writeLoc(entries []locEntry, v val, g circuit.Lit) {
 		ci := e.info[en.off]
 		nw := e.coerce(v.w, ci)
 		sel := e.B.And(g, en.cond)
-		e.cells[en.off] = e.B.MuxW(sel, nw, e.cells[en.off])
+		c := e.cell(en.off)
+		for i := range c {
+			c[i] = e.B.Mux(sel, nw[i], c[i])
+		}
 	}
 }
 
@@ -334,7 +339,7 @@ func (e *Evaluator) evalExpr(seq *ir.Seq, x ast.Expr, g circuit.Lit) val {
 	case *ast.NullLit:
 		return val{w: circuit.ConstW(1, 0)}
 	case *ast.Ident:
-		if n.Name == ir.TidVar {
+		if n.Slot == 0 && n.Name == ir.TidVar {
 			return val{w: circuit.ConstW(e.W, int64(seq.Tid)), signed: true}
 		}
 		entries := e.resolveLoc(seq, n, g)
@@ -473,7 +478,7 @@ func (e *Evaluator) evalCast(seq *ir.Seq, n *ast.CastExpr, g circuit.Lit) val {
 		for _, en := range entries {
 			w := make(circuit.Word, width)
 			for i := 0; i < width; i++ {
-				w[i] = e.cells[en.off+i][0]
+				w[i] = e.cells[e.off[en.off+i]]
 			}
 			out = e.B.MuxW(en.cond, circuit.ZextW(w, e.W), out)
 		}
@@ -515,31 +520,23 @@ func (e *Evaluator) evalBuiltin(seq *ir.Seq, n *ast.CallExpr, g circuit.Lit) val
 
 func (e *Evaluator) evalNew(seq *ir.Seq, n *ast.NewExpr, g circuit.Lit) val {
 	site := e.P.Sites[n.Site]
-	slot := site.Slot
-	si := e.P.Sketch.Info.Structs[n.Type]
-	ctor := si.CtorFields()
-	argOf := map[int]ast.Expr{}
-	for i, fi := range ctor {
-		argOf[fi] = n.Args[i]
-	}
-	for fi, fld := range si.Fields {
+	st := &e.P.Structs[site.StructIdx]
+	ctor := st.Ctor
+	for fi, fld := range st.Info.Fields {
 		var v val
-		if a, ok := argOf[fi]; ok {
-			v = e.evalExpr(seq, a, g)
+		if len(ctor) > 0 && ctor[0] == fi {
+			v = e.evalExpr(seq, n.Args[len(st.Ctor)-len(ctor)], g)
+			ctor = ctor[1:]
 		} else if fld.Default != nil {
 			v = e.evalExpr(seq, fld.Default, g)
 		} else {
 			v = val{w: circuit.ConstW(1, 0)}
 		}
-		off, err := e.L.FieldOff(n.Type, fld.Name, int32(slot))
-		if err != nil {
-			e.errorf("sym: %v", err)
-			return val{w: circuit.ConstW(1, 0)}
-		}
+		off, _ := e.L.FieldCell(site.StructIdx, fi, int32(site.Slot))
 		e.writeLoc([]locEntry{{circuit.True, off, 1}}, v, g)
 	}
-	w := refWidth(e.P.Arenas[n.Type])
-	return val{w: circuit.ConstW(w, int64(slot))}
+	w := refWidth(st.Arena)
+	return val{w: circuit.ConstW(w, int64(site.Slot))}
 }
 
 // EvalConstraint evaluates a synthesis-time side constraint (an

@@ -8,6 +8,7 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 
 	"psketch/internal/circuit"
 	"psketch/internal/desugar"
@@ -23,13 +24,20 @@ type cellInfo struct {
 }
 
 // Evaluator holds the symbolic machine state.
+//
+// Every cell's literals live back to back in one flat array: cell i is
+// cells[off[i]:off[i+1]], and info[i] fixes its width once, at New. A
+// snapshot is therefore one copy of a pointer-free array. Readers copy
+// literals out of the array and writers overwrite them in place, so no
+// word handed out by the evaluator aliases a cell.
 type Evaluator struct {
 	B *circuit.Builder
 	P *ir.Program
 	L *state.Layout
 	W int
 
-	cells []circuit.Word
+	cells []circuit.Lit
+	off   []int32 // cell i spans cells[off[i]:off[i+1]]
 	info  []cellInfo
 
 	// Holes maps hole IDs to their input words (synthesis mode) or
@@ -48,12 +56,20 @@ type Evaluator struct {
 func New(b *circuit.Builder, l *state.Layout, holes []circuit.Word) *Evaluator {
 	e := &Evaluator{B: b, P: l.Prog, L: l, W: l.Prog.W, Holes: holes, Fail: circuit.False}
 	e.buildInfo()
-	e.cells = make([]circuit.Word, l.Size)
+	e.off = make([]int32, l.Size+1)
+	for i, ci := range e.info {
+		e.off[i+1] = e.off[i] + int32(ci.width)
+	}
+	e.cells = make([]circuit.Lit, e.off[l.Size])
 	for i := range e.cells {
-		e.cells[i] = circuit.ConstW(e.info[i].width, 0)
+		e.cells[i] = circuit.False
 	}
 	return e
 }
+
+// cell returns cell i's literals, aliased into the flat array: callers
+// must copy them before the next write.
+func (e *Evaluator) cell(i int) []circuit.Lit { return e.cells[e.off[i]:e.off[i+1]] }
 
 // HoleInputs allocates fresh input words for every hole of the sketch.
 func HoleInputs(b *circuit.Builder, sk *desugar.Sketch) []circuit.Word {
@@ -76,35 +92,21 @@ func HoleConsts(sk *desugar.Sketch, cand desugar.Candidate) []circuit.Word {
 // Err returns the structural error encountered, if any.
 func (e *Evaluator) Err() error { return e.err }
 
-// Snapshot is a saved copy of the symbolic machine state (cells, Fail,
-// structural error). Words are immutable once stored in a cell — writes
-// replace whole slices via MuxW — so a shallow copy of the cell array
-// captures the state exactly.
+// Snapshot is a saved copy of the symbolic machine state: the flat
+// cell array, Fail and the structural error.
 type Snapshot struct {
-	cells []circuit.Word
+	cells []circuit.Lit
 	fail  circuit.Lit
 	err   error
 }
 
-// SizeBytes estimates the snapshot's retained memory: the cell backing
-// array plus each word's literal slice (words are shared between
-// snapshots of one builder, so this over-counts shared tails — it is a
-// bound for cache-eviction accounting, not an exact measurement).
-func (s Snapshot) SizeBytes() int64 {
-	n := int64(len(s.cells)) * 24 // slice headers
-	for _, w := range s.cells {
-		n += int64(len(w)) * 4 // circuit.Lit is an int32
-	}
-	return n
-}
+// SizeBytes returns the snapshot's retained memory: 4 bytes per cell
+// literal.
+func (s Snapshot) SizeBytes() int64 { return 4 * int64(len(s.cells)) }
 
 // Snapshot captures the current machine state.
 func (e *Evaluator) Snapshot() Snapshot {
-	return Snapshot{
-		cells: append([]circuit.Word(nil), e.cells...),
-		fail:  e.Fail,
-		err:   e.err,
-	}
+	return Snapshot{cells: slices.Clone(e.cells), fail: e.Fail, err: e.err}
 }
 
 // Restore rewinds the machine to a snapshot taken on an evaluator with
@@ -142,42 +144,19 @@ func (e *Evaluator) buildInfo() {
 	for i, g := range e.P.Globals {
 		fill(e.L.GlobalOff(i), g.Type)
 	}
-	for _, sd := range e.P.Sketch.Prog.Structs {
-		si := e.P.Sketch.Info.Structs[sd.Name]
-		arena := e.P.Arenas[sd.Name]
-		for slot := 1; slot <= arena; slot++ {
-			for _, f := range si.Fields {
-				off, err := e.L.FieldOff(sd.Name, f.Name, int32(slot))
-				if err != nil {
-					e.errorf("sym: %v", err)
-					return
-				}
+	for si, st := range e.P.Structs {
+		for slot := 1; slot <= st.Arena; slot++ {
+			for fi, f := range st.Info.Fields {
+				off, _ := e.L.FieldCell(si, fi, int32(slot))
 				e.info[off] = e.cellType(f.Type)
 			}
 		}
 	}
-	for _, seq := range e.allSeqs() {
+	for _, seq := range e.P.Seqs() {
 		for i, v := range seq.Locals {
 			fill(e.L.LocalOff(seq, i), v.Type)
 		}
 	}
-}
-
-func (e *Evaluator) allSeqs() []*ir.Seq {
-	p := e.P
-	out := []*ir.Seq{}
-	for _, s := range []*ir.Seq{p.GlobalInit, p.Prologue} {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	out = append(out, p.Threads...)
-	for _, s := range []*ir.Seq{p.Epilogue, p.Spec} {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 func (e *Evaluator) cellType(t types.Type) cellInfo {
@@ -212,25 +191,21 @@ func (e *Evaluator) SetVarCells(seq *ir.Seq, name string, ws []circuit.Word) err
 		return fmt.Errorf("sym: %s has %d cells, got %d words", name, n, len(ws))
 	}
 	for j, w := range ws {
-		e.cells[off+j] = e.coerce(w, e.info[off+j])
+		copy(e.cell(off+j), e.coerce(w, e.info[off+j]))
 	}
 	return nil
 }
 
-// ReadVar returns the cells of a local variable.
+// ReadVar returns copies of the cells of a local variable.
 func (e *Evaluator) ReadVar(seq *ir.Seq, name string) ([]circuit.Word, error) {
 	i := seq.Local(name)
 	if i < 0 {
 		return nil, fmt.Errorf("sym: no local %s in %s", name, seq.Name)
 	}
 	off := e.L.LocalOff(seq, i)
-	n := 1
-	if t := seq.Locals[i].Type; t.IsArray() {
-		n = t.Len
-	}
-	out := make([]circuit.Word, n)
-	for j := 0; j < n; j++ {
-		out[j] = e.cells[off+j]
+	out := make([]circuit.Word, cells(seq.Locals[i].Type))
+	for j := range out {
+		out[j] = slices.Clone(circuit.Word(e.cell(off + j)))
 	}
 	return out, nil
 }

@@ -1,9 +1,13 @@
 package sym
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"psketch/internal/ast"
 	"psketch/internal/circuit"
 	"psketch/internal/desugar"
 	"psketch/internal/interp"
@@ -256,5 +260,232 @@ func TestSymbolicDivByZero(t *testing.T) {
 	// failure is expected here...
 	if ok, v := e.Fail.IsConst(); !ok || v {
 		t.Fatalf("guarded division flagged a failure: %v", e.Fail)
+	}
+}
+
+// Cells live in one flat array that later writes and Restores
+// overwrite in place, so every word ReadVar returns and every snapshot
+// must be a copy: none may change after a write or a Restore.
+func TestReadVarAndSnapshotDoNotAlias(t *testing.T) {
+	p, l, sk := buildCross(t)
+	bld := circuit.NewBuilder()
+	e := New(bld, l, HoleInputs(bld, sk))
+	seq := p.Prologue
+	for _, in := range []string{"a", "b"} {
+		if err := e.SetVarCells(seq, in, []circuit.Word{bld.InputW(p.W)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.RunSeq(p.GlobalInit, circuit.True)
+
+	type read struct {
+		got, want []circuit.Word
+	}
+	type snap struct {
+		s    Snapshot
+		want []circuit.Lit
+	}
+	var reads []read
+	var snaps []snap
+	record := func() {
+		for _, v := range seq.Locals {
+			ws, err := e.ReadVar(seq, v.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp := make([]circuit.Word, len(ws))
+			for i, w := range ws {
+				cp[i] = slices.Clone(w)
+			}
+			reads = append(reads, read{ws, cp})
+		}
+		s := e.Snapshot()
+		snaps = append(snaps, snap{s, slices.Clone(s.cells)})
+	}
+	check := func(after string) {
+		t.Helper()
+		for i, r := range reads {
+			for j := range r.got {
+				if !slices.Equal(r.got[j], r.want[j]) {
+					t.Fatalf("after %s: word %d.%d returned by ReadVar changed", after, i, j)
+				}
+			}
+		}
+		for i, s := range snaps {
+			if !slices.Equal(s.s.cells, s.want) {
+				t.Fatalf("after %s: snapshot %d changed", after, i)
+			}
+		}
+	}
+	for i, step := range seq.Steps {
+		record()
+		e.RunStep(seq, step, circuit.True, FailWhenBlocked)
+		check(fmt.Sprintf("step %d", i))
+	}
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	record()
+	for i := range snaps {
+		e.Restore(snaps[i].s)
+		check(fmt.Sprintf("restore %d", i))
+		if err := e.SetVarCells(seq, "a", []circuit.Word{circuit.ConstW(p.W, int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("write after restore %d", i))
+	}
+	// Restoring brings back exactly what was read when the snapshot was
+	// taken.
+	e.Restore(snaps[0].s)
+	for j, v := range seq.Locals {
+		ws, err := e.ReadVar(seq, v.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range ws {
+			if !slices.Equal(ws[k], reads[j].want[k]) {
+				t.Fatalf("local %s cell %d after Restore differs from the read before step 0", v.Name, k)
+			}
+		}
+	}
+}
+
+// sharedNamesSrc declares a local x in the fork body and in the
+// epilogue. Desugaring renames each declaration apart (x_2 and x_3),
+// but the two threads are clones of one body, so they share the name
+// x_2 for two different cells.
+const sharedNamesSrc = `
+int[2] out;
+int total;
+
+harness void main() {
+	fork (int i; 2) {
+		int x = i + 1;
+		x = x * ??;
+		out[i] = x;
+	}
+	int x = out[0] + out[1];
+	total = x;
+	assert total == 9;
+}
+`
+
+// Lowering resolves every use of a name to the cell of its own
+// sequence: here two threads and the epilogue each read and write
+// their own x, and the threads' x is one name. Executed on the same
+// interleaving, the symbolic evaluator must then compute what the
+// concrete interpreter does, for every value of the hole.
+func TestSymMatchesInterpSharedLocalNames(t *testing.T) {
+	prog, err := parser.Parse(sharedNamesSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := desugar.Desugar(prog, "main", desugar.Options{IntWidth: 6, LoopBound: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ir.Lower(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := state.NewLayout(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := []*ir.Seq{p.Threads[0], p.Threads[1], p.Epilogue}
+	xOf := func(seq *ir.Seq) string {
+		for _, v := range seq.Locals {
+			if strings.HasPrefix(v.Name, "x_") {
+				return v.Name
+			}
+		}
+		t.Fatalf("%s has no local x", seq.Name)
+		return ""
+	}
+	if a, b := xOf(p.Threads[0]), xOf(p.Threads[1]); a != b {
+		t.Fatalf("threads name their x %s and %s, want one name", a, b)
+	}
+	cellOf := map[int]string{}
+	for _, seq := range seqs {
+		name := xOf(seq)
+		i := seq.Local(name)
+		off := l.LocalOff(seq, i)
+		if prev, dup := cellOf[off]; dup {
+			t.Fatalf("x of %s and of %s share cell %d", seq.Name, prev, off)
+		}
+		cellOf[off] = seq.Name
+		for _, step := range seq.Steps {
+			for _, st := range step.Body {
+				ast.WalkExprs(st, func(e ast.Expr) {
+					if id, ok := e.(*ast.Ident); ok && id.Name == name && int(id.Slot) != i+1 {
+						t.Fatalf("%s: %s resolves to slot %d, want local %d", seq.Name, name, id.Slot, i+1)
+					}
+				})
+			}
+		}
+	}
+	// Round-robin over the two threads, then the epilogue.
+	type ev struct {
+		seq  *ir.Seq
+		step *ir.Step
+	}
+	var order []ev
+	for _, s := range []*ir.Seq{p.GlobalInit, p.Prologue} {
+		for _, step := range s.Steps {
+			order = append(order, ev{s, step})
+		}
+	}
+	for k := 0; k < len(p.Threads[0].Steps) || k < len(p.Threads[1].Steps); k++ {
+		for _, th := range p.Threads {
+			if k < len(th.Steps) {
+				order = append(order, ev{th, th.Steps[k]})
+			}
+		}
+	}
+	for _, step := range p.Epilogue.Steps {
+		order = append(order, ev{p.Epilogue, step})
+	}
+	for h := int64(0); h < 4; h++ {
+		cand := desugar.Candidate{h}
+		st := l.NewState()
+		concFail := false
+		for _, o := range order {
+			c := interp.NewCtx(l, st, o.seq, cand)
+			ok, f := c.EvalGuards(o.step)
+			if f == nil && ok {
+				f = c.ExecBody(o.step)
+			}
+			if f != nil {
+				concFail = true
+				break
+			}
+		}
+		bld := circuit.NewBuilder()
+		e := New(bld, l, HoleConsts(sk, cand))
+		for _, o := range order {
+			e.RunStep(o.seq, o.step, circuit.True, FailWhenBlocked)
+		}
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+		symConst, symFail := e.Fail.IsConst()
+		if !symConst {
+			t.Fatal("fail literal not constant under a constant candidate")
+		}
+		if symFail != concFail || symFail != (h != 3) {
+			t.Fatalf("?? = %d: symbolic fail=%v concrete fail=%v, want %v", h, symFail, concFail, h != 3)
+		}
+		if concFail {
+			continue
+		}
+		for off := 0; off < l.Size; off++ {
+			v, ok := circuit.ConstVal(e.cell(off))
+			if !ok {
+				t.Fatalf("cell %d not constant", off)
+			}
+			if w := len(e.cell(off)); w > 1 && int32(v) != st.Cells[off] || w == 1 && (v != 0) != (st.Cells[off] != 0) {
+				t.Fatalf("?? = %d: cell %d symbolic %d, concrete %d", h, off, v, st.Cells[off])
+			}
+		}
 	}
 }
