@@ -1,8 +1,9 @@
 // Command docslint keeps README.md honest about the CLI surface: it
 // parses every cmd/*/main.go for flag definitions and fails when a
-// flag (or a whole command) is missing from README.md, or when a
+// flag (or a whole command) is missing from README.md, when a
 // command-reference heading (### `name` — …) names a command that has
-// no cmd/name/main.go.
+// no cmd/name/main.go, or when a flag-table row (| `-name` | …) under
+// such a heading names a flag the command no longer defines.
 //
 //	docslint            # lint README.md against cmd/*/main.go
 //	docslint -root dir  # lint another checkout
@@ -40,7 +41,7 @@ func main() {
 		for _, m := range failures {
 			fmt.Println("FAIL ", m)
 		}
-		fmt.Printf("docslint: %d undocumented flag(s)/command(s) or stale heading(s)\n", len(failures))
+		fmt.Printf("docslint: %d undocumented flag(s)/command(s) or stale heading(s)/flag row(s)\n", len(failures))
 		os.Exit(1)
 	}
 	fmt.Printf("docslint: %d command(s) documented\n", ncmd)
@@ -59,15 +60,20 @@ func lint(root string) (failures []string, ncmd int, err error) {
 	}
 	sort.Strings(mains)
 
+	defined := map[string]map[string]bool{} // command -> its flags
 	for _, path := range mains {
 		cmd := filepath.Base(filepath.Dir(path))
-		if !strings.Contains(string(readme), cmd) {
-			failures = append(failures, fmt.Sprintf("command %q is not mentioned in README.md", cmd))
-			continue
-		}
 		flags, err := flagNames(path)
 		if err != nil {
 			return nil, 0, err
+		}
+		defined[cmd] = map[string]bool{}
+		for _, name := range flags {
+			defined[cmd][name] = true
+		}
+		if !strings.Contains(string(readme), cmd) {
+			failures = append(failures, fmt.Sprintf("command %q is not mentioned in README.md", cmd))
+			continue
 		}
 		for _, name := range flags {
 			if !strings.Contains(string(readme), "-"+name) {
@@ -75,30 +81,76 @@ func lint(root string) (failures []string, ncmd int, err error) {
 			}
 		}
 	}
-	for _, cmd := range headingCommands(string(readme)) {
-		if _, err := os.Stat(filepath.Join(root, "cmd", cmd, "main.go")); err != nil {
-			failures = append(failures, fmt.Sprintf("README.md heading names command %q, but there is no cmd/%s/main.go", cmd, cmd))
+	// cmds holds the commands of the current ### heading, nil outside
+	// one.
+	var cmds []string
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "#") {
+			cmds = headingCommands(line)
+			for _, cmd := range cmds {
+				if defined[cmd] == nil {
+					failures = append(failures, fmt.Sprintf("README.md heading names command %q, but there is no cmd/%s/main.go", cmd, cmd))
+				}
+			}
+			continue
+		}
+		for _, name := range rowFlags(line) {
+			if !definedByAny(defined, cmds, name) {
+				failures = append(failures, fmt.Sprintf("README.md flag row names -%s, which %s does not define", name, strings.Join(cmds, "/")))
+			}
 		}
 	}
 	return failures, len(mains), nil
 }
 
-// headingCommands returns the command names of the README's command-
-// reference headings: every backquoted name in a "### `name` — …"
-// heading before its dash ("### `a` / `b` — …" names two).
-func headingCommands(readme string) []string {
+// headingCommands returns the command names of a command-reference
+// heading: every backquoted name in a "### `name` — …" heading before
+// its dash ("### `a` / `b` — …" names two). Any other line names none.
+func headingCommands(line string) []string {
+	if !strings.HasPrefix(line, "### `") {
+		return nil
+	}
 	var names []string
-	for _, line := range strings.Split(readme, "\n") {
-		if !strings.HasPrefix(line, "### `") {
-			continue
-		}
-		head, _, _ := strings.Cut(line, " — ")
-		parts := strings.Split(head, "`")
-		for i := 1; i < len(parts); i += 2 {
-			names = append(names, parts[i])
+	head, _, _ := strings.Cut(line, " — ")
+	parts := strings.Split(head, "`")
+	for i := 1; i < len(parts); i += 2 {
+		names = append(names, parts[i])
+	}
+	return names
+}
+
+// rowFlags returns the flag names of a flag-table row: every
+// backquoted -name in the first cell of a "| `-name` | … |" line
+// ("| `-a` / `-b` | …" names two). Any other line names none.
+func rowFlags(line string) []string {
+	if !strings.HasPrefix(line, "| `-") {
+		return nil
+	}
+	cell, _, _ := strings.Cut(line[1:], "|")
+	var names []string
+	parts := strings.Split(cell, "`")
+	for i := 1; i < len(parts); i += 2 {
+		if name, ok := strings.CutPrefix(parts[i], "-"); ok {
+			names = append(names, name)
 		}
 	}
 	return names
+}
+
+// definedByAny reports whether one of cmds defines flag name. A row
+// outside a command heading, or under a heading whose commands are all
+// missing (reported on their own), is not checked.
+func definedByAny(defined map[string]map[string]bool, cmds []string, name string) bool {
+	checked := false
+	for _, cmd := range cmds {
+		if defined[cmd] != nil {
+			checked = true
+			if defined[cmd][name] {
+				return true
+			}
+		}
+	}
+	return !checked
 }
 
 // flagNames extracts the names passed to flag.String/Bool/Int/... calls

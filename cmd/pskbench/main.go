@@ -38,18 +38,14 @@ func main() {
 		noPOR      = flag.Bool("nopor", false, "disable the verifier's partial-order reduction (ablation)")
 		noSym      = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction (ablation)")
 		compress   = flag.String("compress", "", "verifier visited-set representation: collapse (exact, component-interned; forces sequential verification)")
-		pipeline   = flag.Bool("pipeline", true, "overlap speculative solves with verification (needs -j > 1)")
-		share      = flag.Bool("share-clauses", true, "share learned clauses between SAT portfolio workers (needs -j > 1)")
 		proof      = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
 		jsonOut    = flag.String("json", "", "write the measured Figure 9 rows to this file as JSON")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		journal    = flag.String("journal", "", "write a structured run journal (JSONL) to this file; inspect with psktrace")
 		flight     = flag.Int("flight", 0, "keep a flight recorder of the last N spans, dumped to <journal>.flight.jsonl if a run errors")
-		debugAddr  = flag.String("debug-addr", "", "serve live /metrics and /debug/pprof on this address (e.g. localhost:6060)")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics (each row's counters land as the row ends) and /debug/pprof on this address (e.g. localhost:6060)")
 		heapSample = flag.Int("heap-sample", 1, "sample the heap high-water mark every N CEGIS iterations (0 = once per run)")
-		cubes      = flag.Int("cubes", 0, "run every test cube-and-conquer with N cubes racing (0/1 = single engine)")
-		cubeWork   = flag.Int("cube-workers", 0, "concurrent cube engines under -cubes (0 = one per cube)")
 		dumpSketch = flag.String("dump-sketch", "", "print the sketch source of benchmark NAME[:test] and exit (a .psk file for psketch or a psketchd job)")
 		rankEmit   = flag.Bool("rank-emitted", false, "emit each winning candidate as Go and measure its load-harness throughput (needs the go tool)")
 	)
@@ -152,9 +148,7 @@ func main() {
 	opts := bench.Options{
 		Filter: *filter, Timeout: *timeout, IncludeExtras: *extras,
 		TracesPerIteration: *traces, Parallelism: *par, NoPOR: *noPOR,
-		NoSymmetry: *noSym, MCCompress: *compress,
-		NoPipeline: !*pipeline, NoShareClauses: !*share, Proof: *proof,
-		Cubes: *cubes, CubeWorkers: *cubeWork,
+		NoSymmetry: *noSym, MCCompress: *compress, Proof: *proof,
 		RankEmitted: *rankEmit,
 		Trace:       tr, Metrics: met, HeapSampleEvery: *heapSample,
 	}

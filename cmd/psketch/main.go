@@ -35,13 +35,9 @@ func main() {
 		par       = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (1 = deterministic)")
 		noSym     = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction")
 		compress  = flag.String("compress", "", "verifier visited-set representation: collapse (exact, component-interned; forces sequential search)")
-		pipeline  = flag.Bool("pipeline", true, "overlap speculative solves with verification (needs -j > 1)")
-		share     = flag.Bool("share-clauses", true, "share learned clauses between SAT portfolio workers (needs -j > 1)")
 		proof     = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
 		journal   = flag.String("journal", "", "write a structured run journal (JSONL) to this file; inspect with psktrace")
 		debugAddr = flag.String("debug-addr", "", "serve live /metrics and /debug/pprof on this address")
-		cubes     = flag.Int("cubes", 0, "split the candidate space into N cubes and race them (cube-and-conquer; 0/1 = off)")
-		cubeWork  = flag.Int("cube-workers", 0, "concurrent cube engines under -cubes (0 = one per cube)")
 		maxSol    = flag.Int("max-solutions", 0, "enumerate up to N distinct verified solutions (block each and re-solve until UNSAT) and print them; 0 = the first only, or 8 with -emit-dir")
 		emitDir   = flag.String("emit-dir", "", "enumerate verified solutions (bounded by -max-solutions) and emit each distinct one as a compilable Go package under this directory; rank them with pskemit -dir")
 	)
@@ -111,11 +107,7 @@ func main() {
 		Parallelism:        *par,
 		NoSymmetry:         *noSym,
 		MCCompress:         *compress,
-		NoPipeline:         !*pipeline,
-		NoShareClauses:     !*share,
 		Proof:              *proof,
-		Cubes:              *cubes,
-		CubeWorkers:        *cubeWork,
 		Trace:              tr,
 		Metrics:            met,
 	}
@@ -173,13 +165,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
-	}
-	if res.Cube != nil && *verbose {
-		for _, pc := range res.Cube.PerCube {
-			fmt.Fprintf(os.Stderr, "cube %d: resolved=%v exhausted=%v canceled=%v stolen=%v iters=%d remote_traces=%d pruned=%d\n",
-				pc.ID, pc.Resolved, pc.Exhausted, pc.Canceled, pc.Stolen,
-				pc.Stats.Iterations, pc.RemoteTraces, pc.PrunedByRemote)
-		}
 	}
 	if !res.Resolved {
 		fmt.Println("NO — the sketch cannot be resolved")

@@ -59,10 +59,8 @@ func candidateSet(t *testing.T, opts Options) []string {
 }
 
 // The enumerate-all verified set is a property of the sketch, not of
-// the engine configuration: sequential, parallel-portfolio, and
-// cube-and-conquer runs must all converge on the same set of blocked
-// solutions before hitting UNSAT. Blocking clauses are whole-space
-// facts, so this holds under cube assumptions too.
+// the engine configuration: sequential and parallel-portfolio runs must
+// converge on the same set of blocked solutions before hitting UNSAT.
 func TestEnumerateAllInvariantAcrossConfigs(t *testing.T) {
 	base := candidateSet(t, Options{Parallelism: 1})
 	if len(base) == 0 {
@@ -70,7 +68,6 @@ func TestEnumerateAllInvariantAcrossConfigs(t *testing.T) {
 	}
 	configs := map[string]Options{
 		"parallel-4": {Parallelism: 4},
-		"cubes-4":    {Parallelism: 2, Cubes: 4},
 	}
 	for name, opts := range configs {
 		got := candidateSet(t, opts)

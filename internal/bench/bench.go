@@ -7,14 +7,12 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"psketch/internal/core"
-	"psketch/internal/cube"
 	"psketch/internal/desugar"
 	"psketch/internal/emit"
 	"psketch/internal/obs"
@@ -53,11 +51,7 @@ type Row struct {
 	Parallelism    int
 	SATWorkers     []sat.WorkerStats
 	MCWorkerStates []int
-	// Pipeline columns: speculative solves launched/adopted and their
-	// overlapped wall time; clause-sharing and projection-cache totals.
-	SpecSolves  int
-	SpecHits    int
-	SpecSolve   time.Duration
+	// Clause-sharing and projection-cache totals.
 	SATExported int64
 	SATImported int64
 	ProjHits    int64
@@ -71,19 +65,6 @@ type Row struct {
 	// Throughput is the resolved candidate's measured ops/sec from its
 	// emitted Go load harness (zero unless Options.RankEmitted).
 	Throughput float64
-	// Cube-and-conquer columns (zero unless Options.Cubes > 1): actual
-	// cube count, winning cube (-1 for NO), cubes run by stealing
-	// workers, per-cube iteration counts, and the cross-cube exchange
-	// totals (bus clauses, relayed traces, candidates pruned by a
-	// remote trace before local verification).
-	Cubes              int
-	CubeWinner         int
-	CubeStolen         int64
-	CubeIters          []int
-	SATBusExported     int64
-	SATBusImported     int64
-	CubeRemoteTraces   int64
-	CubePrunedByRemote int64
 }
 
 // Options configure a benchmark sweep.
@@ -103,9 +84,10 @@ type Options struct {
 	// TracesPerIteration forwards the multi-trace learning extension
 	// (default 1 = the paper's single-counterexample loop).
 	TracesPerIteration int
-	// Parallelism sizes the SAT portfolio and verifier worker pool
-	// (0 = core's default, GOMAXPROCS; 1 = the deterministic engine
-	// whose numbers the paper comparison is calibrated against).
+	// Parallelism sizes the clause-sharing SAT portfolio and the
+	// verifier worker pool (0 = core's default, GOMAXPROCS; 1 = the
+	// deterministic engine whose numbers the paper comparison is
+	// calibrated against).
 	Parallelism int
 	// NoPOR disables the verifier's partial-order reduction (ablation
 	// runs; the reduction is on by default).
@@ -116,25 +98,17 @@ type Options struct {
 	// MCCompress selects the verifier's visited-set representation
 	// ("" or "collapse"; "collapse" forces the verifier sequential).
 	MCCompress string
-	// NoPipeline disables the speculative solve/verify overlap
-	// (ablation; on by default at Parallelism > 1).
-	NoPipeline bool
-	// NoShareClauses disables portfolio clause sharing (ablation).
-	NoShareClauses bool
 	// Proof replays every committed UNSAT verdict through the DRAT
 	// backward checker (overhead measurement; off by default).
 	Proof bool
-	// Cubes > 1 runs every test cube-and-conquer (internal/cube): the
-	// candidate space splits into that many cubes (rounded down to a
-	// power of two) racing in-process, and Parallelism is divided among
-	// them. 0/1 keeps the single-engine loop.
-	Cubes int
-	// CubeWorkers bounds concurrent cube engines (0 = one per cube).
-	CubeWorkers int
-	// Trace/Metrics forward the observability layer into every run:
-	// each RunOne wraps its synthesis in a "bench.run" span (attrs:
-	// bench, test) and the CEGIS spans nest under it. Nil disables.
-	Trace   *obs.Tracer
+	// Trace forwards the tracer into every run: each RunOne wraps its
+	// synthesis in a "bench.run" span (attrs: bench, test) and the
+	// CEGIS spans nest under it. Nil disables.
+	Trace *obs.Tracer
+	// Metrics, when set, receives every row's counters: each RunOne
+	// counts into a registry of its own, so the row's numbers are its
+	// own work, and folds it into Metrics when the row ends (see
+	// foldMetrics).
 	Metrics *obs.Metrics
 	// HeapSampleEvery forwards core's heap-sampling cadence. pskbench
 	// defaults it to 1, so that MemMiB also sees peaks inside the CEGIS
@@ -190,7 +164,9 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 			rsp.End(obs.Str("bench", b.Name), obs.Str("test", test), obs.Str("status", status))
 		}
 	}
-	copts := core.Options{
+	met := obs.NewMetrics()
+	defer foldMetrics(opts.Metrics, met)
+	syn, err := core.New(sk, core.Options{
 		MCMaxStates:        maxStates,
 		Verbose:            opts.Verbose,
 		TracesPerIteration: opts.TracesPerIteration,
@@ -198,56 +174,27 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 		NoPOR:              opts.NoPOR,
 		NoSymmetry:         opts.NoSymmetry,
 		MCCompress:         opts.MCCompress,
-		NoPipeline:         opts.NoPipeline,
-		NoShareClauses:     opts.NoShareClauses,
 		Proof:              opts.Proof,
 		Cancel:             &cancel,
 		Trace:              opts.Trace,
 		TraceParent:        rsp.ID(),
-		Metrics:            opts.Metrics,
+		Metrics:            met,
 		HeapSampleEvery:    opts.HeapSampleEvery,
+	})
+	if err != nil {
+		endRun("compile_error")
+		row.Err = err
+		return row
 	}
 	type outcome struct {
 		res *core.Result
-		cr  *cube.Result
 		err error
 	}
 	ch := make(chan outcome, 1)
-	if opts.Cubes > 1 {
-		// Cube-and-conquer sweep: the requested parallelism is divided
-		// among the racing cube engines, mirroring psketch's -cubes.
-		total := copts.Parallelism
-		if total <= 0 {
-			total = runtime.GOMAXPROCS(0)
-		}
-		cubes := 2
-		for cubes*2 <= opts.Cubes {
-			cubes *= 2
-		}
-		copts.Parallelism = total / cubes
-		if copts.Parallelism < 1 {
-			copts.Parallelism = 1
-		}
-		copts.Proof = false
-		go func() {
-			cr, e := cube.Synthesize(sk, cube.Options{
-				Cubes: opts.Cubes, Workers: opts.CubeWorkers,
-				Proof: opts.Proof, Core: copts,
-			})
-			ch <- outcome{cr: cr, err: e}
-		}()
-	} else {
-		syn, err := core.New(sk, copts)
-		if err != nil {
-			endRun("compile_error")
-			row.Err = err
-			return row
-		}
-		go func() {
-			r, e := syn.Synthesize()
-			ch <- outcome{res: r, err: e}
-		}()
-	}
+	go func() {
+		r, e := syn.Synthesize()
+		ch <- outcome{res: r, err: e}
+	}()
 	var o outcome
 	if opts.Timeout > 0 {
 		select {
@@ -272,21 +219,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 	}
 	endRun("done")
 	res := o.res
-	if o.cr != nil {
-		// Re-wrap the merged cube outcome as a core result for the
-		// shared column extraction, then add the cube columns.
-		res = &core.Result{Resolved: o.cr.Resolved, Candidate: o.cr.Candidate, Stats: o.cr.Stats}
-		row.Cubes = len(o.cr.PerCube)
-		row.CubeWinner = o.cr.Winner
-		row.CubeStolen = o.cr.Stolen
-		for _, pc := range o.cr.PerCube {
-			row.CubeIters = append(row.CubeIters, pc.Stats.Iterations)
-			row.CubeRemoteTraces += pc.RemoteTraces
-			row.CubePrunedByRemote += pc.PrunedByRemote
-		}
-	}
-	row.SATBusExported = res.Stats.SATBusExported
-	row.SATBusImported = res.Stats.SATBusImported
 	row.Resolved = res.Resolved
 	row.Itns = res.Stats.Iterations
 	row.Total = res.Stats.Total
@@ -306,9 +238,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 	row.Parallelism = res.Stats.Parallelism
 	row.SATWorkers = res.Stats.SATWorkers
 	row.MCWorkerStates = res.Stats.MCWorkerStates
-	row.SpecSolves = res.Stats.SpecSolves
-	row.SpecHits = res.Stats.SpecHits
-	row.SpecSolve = res.Stats.SpecSolve
 	row.SATExported = res.Stats.SATExported
 	row.SATImported = res.Stats.SATImported
 	row.ProjHits = res.Stats.ProjHits
@@ -321,6 +250,22 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 		rankEmitted(sk, res, &row, opts)
 	}
 	return row
+}
+
+// foldMetrics merges a finished row's registry into the sweep's: sums
+// add, high-water marks max. This keeps a journal trailer written from
+// the sweep registry meaningful for the whole sweep.
+func foldMetrics(dst, row *obs.Metrics) {
+	if dst == nil {
+		return
+	}
+	for name, v := range row.Snapshot() {
+		if obs.HighWaterCounters[name] {
+			dst.Counter(name).Max(v)
+		} else {
+			dst.Counter(name).Add(v)
+		}
+	}
 }
 
 // rankEmitted lowers the resolved candidate to a Go package in a
@@ -394,9 +339,6 @@ func RunFig9(w io.Writer, opts Options) []Row {
 			if row.Parallelism > 1 {
 				fmt.Fprint(w, workerLine(row))
 			}
-			if row.Cubes > 0 {
-				fmt.Fprint(w, cubeLine(row))
-			}
 		}
 	}
 	return rows
@@ -422,21 +364,8 @@ func workerLine(row Row) string {
 		fmt.Fprintf(&b, "w%d:%dst", i, n)
 	}
 	b.WriteString("]\n")
-	fmt.Fprintf(&b, "%-9s %-14s |   pipe[%d spec, %d adopted, %s overlapped] proj[%d hit/%d miss, %d entries saved]\n",
-		"", "", row.SpecSolves, row.SpecHits, short(row.SpecSolve),
-		row.ProjHits, row.ProjMisses, row.ProjSaved)
-	return b.String()
-}
-
-// cubeLine renders the cube-and-conquer columns of a -cubes run: the
-// winning cube, per-cube iteration spread, queue stealing, and the
-// cross-cube exchange totals.
-func cubeLine(row Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %-14s |   cubes=%d winner=%d stolen=%d iters=%v",
-		"", "", row.Cubes, row.CubeWinner, row.CubeStolen, row.CubeIters)
-	fmt.Fprintf(&b, " bus[%dexp/%dimp] traces[%d relayed, %d pruned]\n",
-		row.SATBusExported, row.SATBusImported, row.CubeRemoteTraces, row.CubePrunedByRemote)
+	fmt.Fprintf(&b, "%-9s %-14s |   proj[%d hit/%d miss, %d entries saved]\n",
+		"", "", row.ProjHits, row.ProjMisses, row.ProjSaved)
 	return b.String()
 }
 

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"psketch/internal/obs"
 	"psketch/internal/sketches"
 )
 
@@ -42,6 +44,31 @@ func TestFig9AndFig10Output(t *testing.T) {
 	Fig10(&buf, rows)
 	if !strings.Contains(buf.String(), "slope") {
 		t.Fatalf("no trend line:\n%s", buf.String())
+	}
+}
+
+// Rows swept on one shared registry report their own work: row 2 of a
+// two-row -j 1 sweep gets the model-checker counters that row 2 gets
+// run alone, and the shared registry ends up with both rows' sums.
+func TestFig9RowsCountTheirOwnWork(t *testing.T) {
+	met := obs.NewMetrics()
+	opts := Options{Filter: "queueE2", Parallelism: 1, Metrics: met}
+	rows := RunFig9(io.Discard, opts)
+	if len(rows) != 2 {
+		t.Fatalf("rows %d, want queueE2's 2", len(rows))
+	}
+	alone := RunOne(sketches.QueueE2(), rows[1].Test, Options{Parallelism: 1})
+	for _, r := range append(rows, alone) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if rows[1].MCStates != alone.MCStates || rows[1].MCTrans != alone.MCTrans {
+		t.Errorf("row 2 after row 1: %d states, %d trans; alone: %d states, %d trans",
+			rows[1].MCStates, rows[1].MCTrans, alone.MCStates, alone.MCTrans)
+	}
+	if got, want := met.Counter("mc.states").Get(), int64(rows[0].MCStates+rows[1].MCStates); got != want {
+		t.Errorf("sweep registry mc.states = %d, want the rows' sum %d", got, want)
 	}
 }
 

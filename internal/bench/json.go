@@ -40,14 +40,11 @@ type jsonRow struct {
 	SATWorkers     []sat.WorkerStats `json:"sat_workers,omitempty"`
 	MCWorkerStates []int             `json:"mc_worker_states,omitempty"`
 
-	SpecSolves  int     `json:"spec_solves"`
-	SpecHits    int     `json:"spec_hits"`
-	SpecSolveMS float64 `json:"spec_solve_ms"`
-	SATExported int64   `json:"sat_exported"`
-	SATImported int64   `json:"sat_imported"`
-	ProjHits    int64   `json:"proj_hits"`
-	ProjMisses  int64   `json:"proj_misses"`
-	ProjSaved   int64   `json:"proj_saved_entries"`
+	SATExported int64 `json:"sat_exported"`
+	SATImported int64 `json:"sat_imported"`
+	ProjHits    int64 `json:"proj_hits"`
+	ProjMisses  int64 `json:"proj_misses"`
+	ProjSaved   int64 `json:"proj_saved_entries"`
 
 	ProofLemmas  int     `json:"proof_lemmas,omitempty"`
 	ProofChecked int     `json:"proof_checked,omitempty"`
@@ -57,29 +54,15 @@ type jsonRow struct {
 	// -rank-emitted): the resolved candidate's measured ops/sec from
 	// its emitted Go load harness.
 	ThroughputOpsSec float64 `json:"throughput_ops_sec,omitempty"`
-
-	// Cube-and-conquer columns (absent in reports from single-engine
-	// sweeps).
-	Cubes              int   `json:"cubes,omitempty"`
-	CubeWinner         int   `json:"cube_winner,omitempty"`
-	CubeStolen         int64 `json:"cube_stolen,omitempty"`
-	CubeIters          []int `json:"cube_iters,omitempty"`
-	SATBusExported     int64 `json:"sat_bus_exported,omitempty"`
-	SATBusImported     int64 `json:"sat_bus_imported,omitempty"`
-	CubeRemoteTraces   int64 `json:"cube_remote_traces,omitempty"`
-	CubePrunedByRemote int64 `json:"cube_pruned_by_remote,omitempty"`
 }
 
 // jsonOptions is the engine + host configuration header of a report.
 // A benchmark number is only comparable against another run under the
 // same configuration, so everything that shapes the measurement is
-// recorded here: engine knobs (parallelism, pipeline, clause sharing,
-// POR, proof replay, verifier budget) and the host the run was taken
-// on.
+// recorded here: engine knobs (parallelism, POR, proof replay, verifier
+// budget) and the host the run was taken on.
 type jsonOptions struct {
 	Parallelism        int    `json:"parallelism"`
-	Pipeline           bool   `json:"pipeline"`
-	ShareClauses       bool   `json:"share_clauses"`
 	POR                bool   `json:"por"`
 	Symmetry           bool   `json:"symmetry"`
 	MCCompress         string `json:"mc_compress,omitempty"`
@@ -89,8 +72,6 @@ type jsonOptions struct {
 
 	MCMaxStates int  `json:"mc_max_states,omitempty"`
 	Proof       bool `json:"proof,omitempty"`
-	Cubes       int  `json:"cubes,omitempty"`
-	CubeWorkers int  `json:"cube_workers,omitempty"`
 	// Throughput numbers are only comparable between runs that measured
 	// the same way, so the emit/rank knob is recorded like the
 	// reduction knobs.
@@ -115,8 +96,6 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func WriteJSON(path string, rows []Row, opts Options) error {
 	var rep jsonReport
 	rep.Options.Parallelism = opts.Parallelism
-	rep.Options.Pipeline = !opts.NoPipeline
-	rep.Options.ShareClauses = !opts.NoShareClauses
 	rep.Options.POR = !opts.NoPOR
 	rep.Options.Symmetry = !opts.NoSymmetry
 	rep.Options.MCCompress = opts.MCCompress
@@ -125,8 +104,6 @@ func WriteJSON(path string, rows []Row, opts Options) error {
 	rep.Options.Filter = opts.Filter
 	rep.Options.MCMaxStates = opts.MCMaxStates
 	rep.Options.Proof = opts.Proof
-	rep.Options.Cubes = opts.Cubes
-	rep.Options.CubeWorkers = opts.CubeWorkers
 	rep.Options.RankEmitted = opts.RankEmitted
 	rep.Options.GoVersion = runtime.Version()
 	rep.Options.GOOS = runtime.GOOS
@@ -144,14 +121,10 @@ func WriteJSON(path string, rows []Row, opts Options) error {
 			MCSymClasses: r.MCSymClasses, MCOrbitHits: r.MCOrbitHits, MCVisitedBytes: r.MCVisitedBytes,
 			SATVars: r.SATVars, SATClauses: r.SATClauses, SATConfl: r.SATConfl,
 			Parallelism: r.Parallelism, SATWorkers: r.SATWorkers, MCWorkerStates: r.MCWorkerStates,
-			SpecSolves: r.SpecSolves, SpecHits: r.SpecHits, SpecSolveMS: ms(r.SpecSolve),
 			SATExported: r.SATExported, SATImported: r.SATImported,
 			ProjHits: r.ProjHits, ProjMisses: r.ProjMisses, ProjSaved: r.ProjSaved,
 			ProofLemmas: r.ProofLemmas, ProofChecked: r.ProofChecked, ProofCheckMS: ms(r.ProofCheck),
 			ThroughputOpsSec: r.Throughput,
-			Cubes:            r.Cubes, CubeWinner: r.CubeWinner, CubeStolen: r.CubeStolen,
-			CubeIters: r.CubeIters, SATBusExported: r.SATBusExported, SATBusImported: r.SATBusImported,
-			CubeRemoteTraces: r.CubeRemoteTraces, CubePrunedByRemote: r.CubePrunedByRemote,
 		}
 		if r.Err != nil {
 			jr.Error = r.Err.Error()

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,21 +48,16 @@ import (
 type Options struct {
 	// MaxIterations bounds the CEGIS loop (default 256).
 	MaxIterations int
-	// Block rules out candidates before synthesis starts: each entry
-	// gets a blocking clause exactly as Exclude would add after a
-	// solution. Blocking clauses are whole-space facts, so they stay
-	// sound under cube assumptions — cube-mode enumeration uses this to
-	// resume across independently cubed re-solves.
-	Block []desugar.Candidate
 	// MCMaxStates bounds the model checker (default 4,000,000).
 	MCMaxStates int
 	// TracesPerIteration asks the verifier for several counterexample
 	// traces per CEGIS iteration (default 1, the paper's behaviour);
 	// each is projected into its own inductive constraint.
 	TracesPerIteration int
-	// Parallelism sizes both the SAT portfolio and the model checker's
-	// worker pool (default runtime.GOMAXPROCS(0)). 1 runs the fully
-	// deterministic sequential engine.
+	// Parallelism sizes both the SAT portfolio (whose workers always
+	// share learnt clauses) and the model checker's worker pool
+	// (default runtime.GOMAXPROCS(0)). 1 runs the fully deterministic
+	// sequential engine.
 	Parallelism int
 	// NoPOR disables the model checker's footprint-based partial-order
 	// reduction (soundness cross-checks and measurement; the reduction
@@ -76,14 +70,6 @@ type Options struct {
 	// "" (exact fingerprint table) or "collapse", which forces the
 	// verifier sequential (see mc.Options.Compress).
 	MCCompress string
-	// NoPipeline disables the speculative synthesize/verify overlap of
-	// the concurrent engine (on by default at Parallelism > 1; the
-	// pipeline never runs at Parallelism 1, which stays bit-for-bit the
-	// sequential engine).
-	NoPipeline bool
-	// NoShareClauses disables learned-clause exchange between the SAT
-	// portfolio's workers (on by default at Parallelism > 1).
-	NoShareClauses bool
 	// Proof enables DRAT proof logging in the SAT backends (solver or
 	// portfolio, shared-clause pool included) and replays every UNSAT
 	// verdict the loop commits to — candidate-space exhaustion and the
@@ -98,7 +84,7 @@ type Options struct {
 	// returns ErrCanceled.
 	Cancel *atomic.Bool
 	// Trace, when set, receives hierarchical spans for every phase of
-	// the loop: per-iteration solve/verify/project/spec spans, the SAT
+	// the loop: per-iteration solve/verify/project spans, the SAT
 	// backend's per-solve (and per-portfolio-worker) spans, the model
 	// checker's per-check and per-shard-worker spans, and the projection
 	// cache's per-encode spans. Nil disables tracing at zero cost.
@@ -125,44 +111,6 @@ type Options struct {
 	// synthesizer reports it via Verbose (soundness debugging).
 	WatchCandidate desugar.Candidate
 
-	// Cube restricts the synthesizer to the sub-space of candidates in
-	// which each listed hole bit takes the given value (cube-and-conquer
-	// CEGIS, internal/cube). The cube literals are passed to every
-	// synthesis solve as ASSUMPTIONS, never added as clauses — the
-	// soundness lever of the whole scheme: first-UIP learning resolves
-	// only on reason clauses, so assumption literals surface in learnt
-	// clauses instead of becoming hidden premises, every clause this
-	// synthesizer learns or derives is implied by the problem clauses
-	// alone, and cross-cube clause sharing plus merged DRAT logging stay
-	// sound. An empty Cube is the whole space.
-	Cube []CubeLit
-	// CubeID identifies this synthesizer on TraceBus and ClauseBus (and
-	// in spans/counters). Zero outside cube mode.
-	CubeID int
-	// TraceBus, when set, connects the synthesizer to the cross-cube
-	// counterexample exchange: every projected trace is published, and
-	// other cubes' projections are imported at iteration boundaries and
-	// installed as constraints (projections are facts about the entire
-	// candidate space — see internal/project — so a trace found in one
-	// cube prunes every other).
-	TraceBus *project.Bus
-	// ClauseBus likewise connects the SAT backend to the cross-cube
-	// learnt-clause exchange (prefix-only clauses; see sat.Bus).
-	ClauseBus *sat.Bus
-	// ProofSink, when set, is an external DRAT sink (typically a
-	// drat.Namespace of internal/cube's shared Recorder) the SAT backend
-	// logs into instead of a private recorder. The sink's owner is then
-	// responsible for certifying the merged UNSAT verdict: the
-	// synthesizer skips its own certification and Result.Certificate
-	// stays nil. Overrides Proof.
-	ProofSink drat.Sink
-	// Prog, when set, is a pre-lowered program for the sketch, shared
-	// read-only; New skips its own ir.Lower call. In-process cube mode
-	// requires this: ir.Lower mutates AST nodes the sketch shares
-	// across engines (alloc-site numbering), so concurrent workers must
-	// lower once, before the race starts, not once each.
-	Prog *ir.Program
-
 	// Warm, when set together with WarmKey, connects the synthesizer to
 	// a cross-request warm-state store (psketchd's cross-request cache):
 	// New tries to check out a previously built encoding context —
@@ -177,14 +125,6 @@ type Options struct {
 	Warm *project.Store
 	// WarmKey is the sketch-hash key into Warm ("" disables).
 	WarmKey string
-}
-
-// CubeLit fixes one bit of one hole: bit Bit of hole Hole takes value
-// Val throughout this synthesizer's cube.
-type CubeLit struct {
-	Hole int
-	Bit  int
-	Val  bool
 }
 
 func (o Options) defaults() Options {
@@ -243,27 +183,12 @@ type Stats struct {
 	// MCWorkerStates accumulates the states each verifier worker
 	// expanded across all iterations.
 	MCWorkerStates []int
-	// SpecSolves counts speculative solves launched by the pipelined
-	// engine; SpecHits counts the speculative candidates that survived
-	// the new constraints and were adopted without a blocking solve.
-	// SpecSolve is the wall time those solves ran — overlapped with
-	// verification, so it is NOT part of the critical path that SSolve
-	// measures.
-	SpecSolves int
-	SpecHits   int
-	SpecSolve  time.Duration
 	// SATExported/SATImported total the clauses exchanged through the
-	// portfolio's shared pool across all workers;
-	// SATBusExported/SATBusImported total the clauses relayed over the
-	// cross-cube bus. Like the reduction stats above (and unlike in
-	// earlier revisions), all four are per-run deltas tracked on the
-	// synthesizer, so concurrent cube workers and repeated runs sharing
-	// one Metrics registry no longer overwrite each other's registry
-	// values — the registry accumulates (Add), Stats stays per-run.
-	SATExported    int64
-	SATImported    int64
-	SATBusExported int64
-	SATBusImported int64
+	// portfolio's shared pool across all workers. Like the reduction
+	// stats above, both are per-run deltas tracked on the synthesizer:
+	// the registry accumulates (Add), Stats stays per-run.
+	SATExported int64
+	SATImported int64
 	// Projection-encoding cache effectiveness: Encode calls that
 	// restored a memoized trace prefix (ProjHits) vs. replayed from the
 	// base state (ProjMisses), and the total projected entries skipped.
@@ -346,28 +271,17 @@ type Synthesizer struct {
 	warmStart bool
 	released  bool
 
-	// specAct is the activation variable gating speculative blocking
-	// clauses (-1 until first used). Each pipelined iteration adds
-	// (¬specAct ∨ block(cand_k)); a speculative solve assumes specAct,
-	// activating every such clause at once — sound, because by the time
-	// iteration k+1 speculates, candidates 1..k are all permanently
-	// refuted by ungated clauses. Regular solves leave specAct free.
-	specAct int
-
 	// Observability. tr is nil when tracing is off (span calls are then
 	// no-ops); met always points at a registry — Options.Metrics or a
-	// private one — so the counter handles in ct are always valid. The
-	// speculative-solve goroutine bumps its counters concurrently with
-	// the driver; counters are single atomics, so no lock is involved.
+	// private one — so the counter handles in ct are always valid.
 	tr      *obs.Tracer
 	met     *obs.Metrics
 	ct      counters
 	runSpan obs.Span // current Synthesize root span
 
-	// statsMu guards the two slice-valued stats the registry cannot
-	// hold: per-worker model-checker state totals and the portfolio's
-	// per-worker solver totals.
-	statsMu        sync.Mutex
+	// The two slice-valued stats the registry cannot hold: per-worker
+	// model-checker state totals and the portfolio's per-worker solver
+	// totals.
 	mcWorkerStates []int
 	satWorkers     []sat.WorkerStats
 	// Per-run reduction stats. The registry counters with the same
@@ -381,24 +295,13 @@ type Synthesizer struct {
 	// Per-run SAT exchange/conflict stats, same pattern: the solver
 	// backend counts lifetime totals (Enumerate reuses it across runs),
 	// so Synthesize snapshots baselines at entry and reports deltas,
-	// Add-ing (never Set-ing) them into the registry. This is what lets
-	// several portfolios — cube workers, sweep rows — share one process
-	// without double-counting or overwriting each other.
+	// Add-ing (never Set-ing) them into the registry, so that sweep rows
+	// sharing one registry never overwrite each other.
 	baseConfl, baseExported, baseImported       int64
-	baseBusExported, baseBusImported            int64
 	baseProjHits, baseProjMisses, baseProjSaved int64
 	runSATConfl, runSATExported, runSATImported int64
-	runBusExported, runBusImported              int64
 	runProjHits, runProjMisses, runProjSaved    int64
 	runSATVars, runSATClauses                   int
-
-	// Cube mode: the assumption literals of Options.Cube (translated to
-	// solver literals by New), the number of SAT variables the setup
-	// encoding allocated (the cross-cube shared prefix), and the
-	// TraceBus fetch cursor.
-	cubeAssume  []sat.Lit
-	setupVars   int
-	traceCursor int
 }
 
 // counters caches the registry handles the loop bumps. Durations are
@@ -408,15 +311,12 @@ type Synthesizer struct {
 type counters struct {
 	iterations, totalNS                    *obs.Counter
 	ssolveNS, smodelNS, vsolveNS, vmodelNS *obs.Counter
-	specSolves, specHits, specNS           *obs.Counter
 	mcStates, mcTrans                      *obs.Counter
 	mcSymClasses, mcOrbitHits              *obs.Counter
 	mcVisitedBytes                         *obs.Counter
 	heapMax                                *obs.Counter
 	satVars, satClauses, satConfl          *obs.Counter
 	satExported, satImported               *obs.Counter
-	satBusExported, satBusImported         *obs.Counter
-	remoteTraces, prunedRemote             *obs.Counter
 	projHits, projMisses, projSaved        *obs.Counter
 
 	proofLemmas, proofChecked, proofCore, proofCheckNS *obs.Counter
@@ -430,9 +330,6 @@ func newCounters(m *obs.Metrics) counters {
 		smodelNS:     m.Counter(obs.PhaseCounter(obs.PhaseSModel)),
 		vsolveNS:     m.Counter(obs.PhaseCounter(obs.PhaseVSolve)),
 		vmodelNS:     m.Counter(obs.PhaseCounter(obs.PhaseVModel)),
-		specNS:       m.Counter(obs.PhaseCounter(obs.PhaseSpec)),
-		specSolves:   m.Counter("cegis.spec_solves"),
-		specHits:     m.Counter("cegis.spec_hits"),
 		mcStates:     m.Counter("mc.states"),
 		mcTrans:      m.Counter("mc.trans"),
 		mcSymClasses: m.Counter("mc.sym_classes"),
@@ -445,10 +342,6 @@ func newCounters(m *obs.Metrics) counters {
 		satConfl:       m.Counter("sat.conflicts"),
 		satExported:    m.Counter("sat.exported"),
 		satImported:    m.Counter("sat.imported"),
-		satBusExported: m.Counter("sat.bus_exported"),
-		satBusImported: m.Counter("sat.bus_imported"),
-		remoteTraces:   m.Counter("cube.remote_traces"),
-		prunedRemote:   m.Counter("cube.pruned_by_remote"),
 		projHits:       m.Counter("proj.hits"),
 		projMisses:     m.Counter("proj.misses"),
 		projSaved:      m.Counter("proj.saved_entries"),
@@ -472,9 +365,6 @@ func (s *Synthesizer) statsView() Stats {
 		MCTrans:      int(s.ct.mcTrans.Get()),
 		MaxHeap:      uint64(s.ct.heapMax.Get()),
 		Parallelism:  s.opts.Parallelism,
-		SpecSolves:   int(s.ct.specSolves.Get()),
-		SpecHits:     int(s.ct.specHits.Get()),
-		SpecSolve:    time.Duration(s.ct.specNS.Get()),
 		ProofLemmas:  int(s.ct.proofLemmas.Get()),
 		ProofChecked: int(s.ct.proofChecked.Get()),
 		ProofCore:    int(s.ct.proofCore.Get()),
@@ -487,19 +377,15 @@ func (s *Synthesizer) statsView() Stats {
 	st.SATConfl = s.runSATConfl
 	st.SATExported = s.runSATExported
 	st.SATImported = s.runSATImported
-	st.SATBusExported = s.runBusExported
-	st.SATBusImported = s.runBusImported
 	st.ProjHits = s.runProjHits
 	st.ProjMisses = s.runProjMisses
 	st.ProjSaved = s.runProjSaved
 	st.WarmStart = s.warmStart
-	s.statsMu.Lock()
 	st.MCSymClasses = s.runSymClasses
 	st.MCOrbitHits = s.runOrbitHits
 	st.MCVisitedBytes = s.runVisitedBytes
 	st.MCWorkerStates = append([]int(nil), s.mcWorkerStates...)
 	st.SATWorkers = append([]sat.WorkerStats(nil), s.satWorkers...)
-	s.statsMu.Unlock()
 	return st
 }
 
@@ -514,8 +400,7 @@ func b2i(b bool) int64 {
 // both the plain sat.Solver and the racing sat.Portfolio satisfy it.
 type satSolver interface {
 	sat.Adder
-	SetProof(drat.Sink)
-	SetBus(*sat.Bus, int)
+	SetProof(*drat.Recorder)
 	SetTracer(*obs.Tracer)
 	SetSpanParent(obs.SpanID)
 	Solve(assumptions ...sat.Lit) bool
@@ -526,14 +411,12 @@ type satSolver interface {
 	Conflicts() int64
 }
 
-// newSolver picks the solving backend: a portfolio of diversified
-// workers when parallelism allows, else the deterministic single
-// solver.
-func newSolver(parallelism int, noShare bool) satSolver {
+// newSolver picks the solving backend: a clause-sharing portfolio of
+// diversified workers when parallelism allows, else the deterministic
+// single solver.
+func newSolver(parallelism int) satSolver {
 	if parallelism > 1 {
-		p := sat.NewPortfolio(parallelism)
-		p.SetSharing(!noShare)
-		return p
+		return sat.NewPortfolio(parallelism)
 	}
 	return sat.New()
 }
@@ -542,7 +425,7 @@ func newSolver(parallelism int, noShare bool) satSolver {
 // structural constraints of the candidate space.
 func New(sk *desugar.Sketch, opts Options) (*Synthesizer, error) {
 	opts = opts.defaults()
-	s := &Synthesizer{Sk: sk, opts: opts, specAct: -1}
+	s := &Synthesizer{Sk: sk, opts: opts}
 	s.tr = opts.Trace
 	s.met = opts.Metrics
 	if s.met == nil {
@@ -552,13 +435,9 @@ func New(sk *desugar.Sketch, opts Options) (*Synthesizer, error) {
 
 	t0 := time.Now()
 	sp := s.tr.Start("setup.lower", opts.TraceParent)
-	prog := opts.Prog
-	if prog == nil {
-		var err error
-		prog, err = ir.Lower(sk)
-		if err != nil {
-			return nil, err
-		}
+	prog, err := ir.Lower(sk)
+	if err != nil {
+		return nil, err
 	}
 	layout, err := state.NewLayout(prog)
 	if err != nil {
@@ -590,21 +469,13 @@ func New(sk *desugar.Sketch, opts Options) (*Synthesizer, error) {
 		s.b = circuit.NewBuilder()
 		s.holes = sym.HoleInputs(s.b, sk)
 	}
-	s.solver = newSolver(opts.Parallelism, opts.NoShareClauses)
+	s.solver = newSolver(opts.Parallelism)
 	s.solver.SetTracer(opts.Trace)
-	if opts.ProofSink != nil {
-		// Cube mode: log into the external (shared, namespaced) sink.
-		// The sink's owner certifies the merged verdict, so s.proof
-		// stays nil and this synthesizer never self-certifies.
-		s.solver.SetProof(opts.ProofSink)
-	} else if opts.Proof {
+	if opts.Proof {
 		// Attach before the first AddClause: the recorder must see
 		// every problem clause or later replays cannot close.
 		s.proof = drat.NewRecorder()
 		s.solver.SetProof(s.proof)
-	}
-	if opts.ClauseBus != nil {
-		s.solver.SetBus(opts.ClauseBus, opts.CubeID)
 	}
 	s.vmap = circuit.NewVarMap()
 	s.holeVars = make([][]int, len(sk.Holes))
@@ -645,23 +516,6 @@ func New(sk *desugar.Sketch, opts Options) (*Synthesizer, error) {
 	d = time.Since(t0)
 	s.ct.smodelNS.Add(int64(d))
 	sp.EndDur(d, obs.Str(obs.AttrPhase, obs.PhaseSModel))
-	// The setup encoding is deterministic given (sketch, desugar
-	// options): every cube worker of one split allocates the identical
-	// variable prefix up to this point, which is what makes the clause
-	// bus filter and the DRAT namespace boundary sound. internal/cube
-	// cross-checks this count across workers.
-	s.setupVars = s.solver.NumVars()
-	// Pre-blocked candidates (enumeration resume): added after the
-	// deterministic setup prefix, like any other learned clause.
-	for _, cand := range opts.Block {
-		s.excludeCandidate(cand)
-	}
-	for _, cl := range opts.Cube {
-		if cl.Hole < 0 || cl.Hole >= len(s.holeVars) || cl.Bit < 0 || cl.Bit >= len(s.holeVars[cl.Hole]) {
-			return nil, fmt.Errorf("core: cube literal out of range: hole %d bit %d", cl.Hole, cl.Bit)
-		}
-		s.cubeAssume = append(s.cubeAssume, sat.MkLit(s.holeVars[cl.Hole][cl.Bit], !cl.Val))
-	}
 	if opts.WatchCandidate != nil {
 		var assume []sat.Lit
 		for i, vars := range s.holeVars {
@@ -731,11 +585,8 @@ func (s *Synthesizer) maybeSampleHeap(iter int) {
 }
 
 // certifyUNSAT snapshots the recorder and replays the proof of the
-// UNSAT verdict just returned (speculative-solve UNSATs need no
-// certificate of their own: the blocking re-solve that confirms them
-// runs on the same or a larger clause set and is the verdict the loop
-// acts on). A failed replay is a soundness bug and surfaces as an
-// error, never a silent downgrade.
+// UNSAT verdict just returned. A failed replay is a soundness bug and
+// surfaces as an error, never a silent downgrade.
 func (s *Synthesizer) certifyUNSAT(r *drat.Recorder, assumptions []int, what string) (*drat.Certificate, error) {
 	if r == nil {
 		return nil, nil
@@ -762,34 +613,7 @@ func (s *Synthesizer) canceled() bool {
 	return s.opts.Cancel != nil && s.opts.Cancel.Load()
 }
 
-// SetupVars returns the number of SAT variables the setup encoding
-// allocated: the variable prefix every synthesizer of the same sketch
-// and desugar options shares before per-iteration Tseitin allocations
-// diverge. internal/cube keys the clause bus and the DRAT namespace
-// boundary on it.
-func (s *Synthesizer) SetupVars() int { return s.setupVars }
-
-// HoleDimacs returns the positive DIMACS index of hole h's bit b in
-// the shared setup prefix (internal/cube derives the cube-refutation
-// clauses of the merged certificate from these).
-func (s *Synthesizer) HoleDimacs(h, b int) int { return s.holeVars[h][b] + 1 }
-
-// cubeDimacs returns the cube assumptions in DIMACS form (nil outside
-// cube mode) — the assumption set a standalone exhaustion certificate
-// is conditional on.
-func (s *Synthesizer) cubeDimacs() []int {
-	if len(s.cubeAssume) == 0 {
-		return nil
-	}
-	out := make([]int, len(s.cubeAssume))
-	for i, l := range s.cubeAssume {
-		out[i] = sat.Dimacs(l)
-	}
-	return out
-}
-
 // extractCandidate reads the hole assignment out of the solver's model.
-// The caller must own the solver (no concurrent solve in flight).
 func (s *Synthesizer) extractCandidate() desugar.Candidate {
 	cand := make(desugar.Candidate, len(s.holeVars))
 	for i, vars := range s.holeVars {
@@ -813,7 +637,7 @@ func (s *Synthesizer) nextCandidate(parent obs.SpanID) (desugar.Candidate, bool,
 		s.solver.SetSpanParent(sp.ID())
 	}
 	t0 := time.Now()
-	okSat, canceled := s.solver.SolveCancel(s.opts.Cancel, s.cubeAssume...)
+	okSat, canceled := s.solver.SolveCancel(s.opts.Cancel)
 	d := time.Since(t0)
 	s.ct.ssolveNS.Add(int64(d))
 	sp.EndDur(d, obs.Str(obs.AttrPhase, obs.PhaseSSolve), obs.Int("sat", b2i(okSat)))
@@ -832,21 +656,14 @@ func (s *Synthesizer) Synthesize() (*Result, error) {
 	s.runSpan = s.tr.Start("cegis.synthesize", s.opts.TraceParent)
 	// Snapshot the solver backend's lifetime totals so the end-of-run
 	// fold can report this run's deltas (Enumerate reuses the solver
-	// across runs; cube workers share the projection cache's builder
-	// lifetime with nobody, but the same bookkeeping keeps all paths
-	// uniform).
+	// across runs).
 	s.baseConfl = s.solver.Conflicts()
-	s.baseExported, s.baseImported, s.baseBusExported, s.baseBusImported = 0, 0, 0, 0
+	s.baseExported, s.baseImported = 0, 0
 	if p, ok := s.solver.(*sat.Portfolio); ok {
 		for _, w := range p.WorkerStats() {
 			s.baseExported += w.Exported
 			s.baseImported += w.Imported
-			s.baseBusExported += w.BusExported
-			s.baseBusImported += w.BusImported
 		}
-	} else if p, ok := s.solver.(*sat.Solver); ok {
-		s.baseExported, s.baseImported = p.Stats.Exported, p.Stats.Imported
-		s.baseBusExported, s.baseBusImported = p.Stats.BusExported, p.Stats.BusImported
 	}
 	if c := s.projCache; c != nil {
 		s.baseProjHits, s.baseProjMisses, s.baseProjSaved = c.Hits, c.Misses, c.SavedEntries
@@ -871,39 +688,27 @@ func (s *Synthesizer) Synthesize() (*Result, error) {
 	// All worker goroutines are joined by now, so the solver and the
 	// projection cache are quiescent; fold this run's deltas into the
 	// registry. Everything summable is Add-ed (a registry shared by
-	// several synthesizers — cube workers, a sweep — accumulates) and
-	// sizes are Max-ed (monotone high-water): no Set, so concurrent or
-	// repeated runs never overwrite each other.
+	// several runs accumulates) and sizes are Max-ed (monotone
+	// high-water): no Set, so repeated runs never overwrite each other.
 	s.runSATVars = s.solver.NumVars()
 	s.runSATClauses = s.solver.NumClauses()
 	s.runSATConfl = s.solver.Conflicts() - s.baseConfl
 	s.ct.satVars.Max(int64(s.runSATVars))
 	s.ct.satClauses.Max(int64(s.runSATClauses))
 	s.ct.satConfl.Add(s.runSATConfl)
-	var exp, imp, bexp, bimp int64
+	var exp, imp int64
 	if p, ok := s.solver.(*sat.Portfolio); ok {
 		ws := p.WorkerStats()
 		for _, w := range ws {
 			exp += w.Exported
 			imp += w.Imported
-			bexp += w.BusExported
-			bimp += w.BusImported
 		}
-		s.statsMu.Lock()
 		s.satWorkers = ws
-		s.statsMu.Unlock()
-	} else if p, ok := s.solver.(*sat.Solver); ok {
-		exp, imp = p.Stats.Exported, p.Stats.Imported
-		bexp, bimp = p.Stats.BusExported, p.Stats.BusImported
 	}
 	s.runSATExported = exp - s.baseExported
 	s.runSATImported = imp - s.baseImported
-	s.runBusExported = bexp - s.baseBusExported
-	s.runBusImported = bimp - s.baseBusImported
 	s.ct.satExported.Add(s.runSATExported)
 	s.ct.satImported.Add(s.runSATImported)
-	s.ct.satBusExported.Add(s.runBusExported)
-	s.ct.satBusImported.Add(s.runBusImported)
 	if c := s.projCache; c != nil {
 		s.runProjHits = c.Hits - s.baseProjHits
 		s.runProjMisses = c.Misses - s.baseProjMisses
@@ -923,83 +728,17 @@ func (s *Synthesizer) Synthesize() (*Result, error) {
 	return res, nil
 }
 
-// specResult is what a speculative solve hands back to the driver.
-type specResult struct {
-	cand     desugar.Candidate // model, when found
-	found    bool              // SAT: a next candidate exists
-	canceled bool              // solve was torn down before a verdict
-}
-
-// startSpec launches the speculative solve for the candidate after
-// cand: a gated blocking clause (¬specAct ∨ block(cand)) is added, then
-// a goroutine solves under the assumption specAct and extracts the
-// model. The goroutine owns s.solver until its channel delivers; the
-// driver must join (receive) before touching the solver again. cancel
-// tears the solve down without a verdict. parent is the span the
-// speculative solve nests under (the iteration that launched it).
-func (s *Synthesizer) startSpec(cand desugar.Candidate, parent obs.SpanID) (<-chan specResult, *atomic.Bool) {
-	if s.specAct < 0 {
-		s.specAct = s.solver.NewVar()
-	}
-	lits := []sat.Lit{sat.MkLit(s.specAct, true)}
-	for i, vars := range s.holeVars {
-		for j, sv := range vars {
-			bit := (cand.Value(i)>>uint(j))&1 == 1
-			lits = append(lits, sat.MkLit(sv, bit))
-		}
-	}
-	s.solver.AddClause(lits...)
-
-	sp := s.tr.Start("cegis.spec", parent)
-	if s.tr != nil {
-		// Safe before the goroutine launches: the driver does not touch
-		// the solver again until it joins the result channel.
-		s.solver.SetSpanParent(sp.ID())
-	}
-	cancel := &atomic.Bool{}
-	ch := make(chan specResult, 1)
-	assume := append([]sat.Lit{sat.MkLit(s.specAct, false)}, s.cubeAssume...)
-	go func() {
-		t0 := time.Now()
-		ok, canceled := s.solver.SolveCancel(cancel, assume...)
-		dur := time.Since(t0)
-		r := specResult{canceled: canceled}
-		if !canceled && ok {
-			r.found = true
-			r.cand = s.extractCandidate()
-		}
-		s.ct.specSolves.Add(1)
-		s.ct.specNS.Add(int64(dur))
-		sp.EndDur(dur,
-			obs.Str(obs.AttrPhase, obs.PhaseSpec),
-			obs.Int("found", b2i(r.found)),
-			obs.Int("canceled", b2i(canceled)))
-		ch <- r
-	}()
-	return ch, cancel
-}
-
 // synthesizeConcurrent is the CEGIS loop of §6: candidates are model
 // checked over all interleavings; failing traces are projected onto the
-// candidate space and added as inductive constraints.
-//
-// With Parallelism > 1 (and NoPipeline unset) the loop is pipelined:
-// while the model checker verifies candidate k on the driver goroutine,
-// a speculative goroutine solves for candidate k+1 from the clauses
-// known so far. When the verifier refutes k, the new projection clauses
-// are evaluated directly on the speculative model (b.Eval); a surviving
-// model is adopted without any blocking solve, otherwise the re-solve
-// starts warm from the portfolio's saved phases. Solver ownership
-// alternates strictly — spec goroutine during verification, driver
-// otherwise — with the result channel as the happens-before edge.
+// candidate space and added as inductive constraints. The phases
+// strictly alternate at every Parallelism: each one fans out internally
+// (a portfolio solve, a sharded model check) and joins its workers
+// before the next starts.
 func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
-	pipelined := s.opts.Parallelism > 1 && !s.opts.NoPipeline
 	if s.projCache == nil {
 		s.projCache = project.NewCache(s.b, s.Layout, s.holes)
 	}
 	var lastTrace *mc.Trace
-	var cand desugar.Candidate
-	haveCand := false
 	for iter := 1; iter <= s.opts.MaxIterations; iter++ {
 		s.ct.iterations.Set(int64(iter))
 		if s.canceled() {
@@ -1014,54 +753,21 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 					obs.Int("traces", int64(traces)))
 			}
 		}
-		// Adopt other cubes' counterexamples before solving: a trace
-		// found in cube 3 prunes this cube's space before it ever
-		// solves (and may refute the candidate held over from the
-		// pipeline, forcing a fresh solve against the tightened space).
-		if s.opts.TraceBus != nil {
-			alive, err := s.importRemoteTraces(isp.ID(), cand, haveCand)
-			if err != nil {
-				endIter("error", 0, 0)
-				return nil, err
-			}
-			haveCand = alive
+		cand, ok, err := s.nextCandidate(isp.ID())
+		if err != nil {
+			endIter("canceled", 0, 0)
+			return nil, err
 		}
-		if !haveCand {
-			c, ok, err := s.nextCandidate(isp.ID())
-			if err != nil {
-				endIter("canceled", 0, 0)
-				return nil, err
+		if !ok {
+			s.opts.Verbose("iteration %d: candidate space exhausted (UNSAT) — sketch cannot be resolved", iter)
+			cert, cerr := s.certifyUNSAT(s.proof, nil, "candidate-space exhaustion")
+			endIter("exhausted", 0, 0)
+			if cerr != nil {
+				return nil, cerr
 			}
-			if !ok {
-				s.opts.Verbose("iteration %d: candidate space exhausted (UNSAT) — sketch cannot be resolved", iter)
-				cert, cerr := s.certifyUNSAT(s.proof, s.cubeDimacs(), "candidate-space exhaustion")
-				endIter("exhausted", 0, 0)
-				if cerr != nil {
-					return nil, cerr
-				}
-				return &Result{Resolved: false, LastTrace: lastTrace, Certificate: cert}, nil
-			}
-			cand = c
+			return &Result{Resolved: false, LastTrace: lastTrace, Certificate: cert}, nil
 		}
-		haveCand = false
 		s.opts.Verbose("iteration %d: model checking candidate %v", iter, cand)
-
-		var specCh <-chan specResult
-		var specCancel *atomic.Bool
-		if pipelined {
-			specCh, specCancel = s.startSpec(cand, isp.ID())
-		}
-		joinSpec := func(cancel bool) specResult {
-			if specCh == nil {
-				return specResult{}
-			}
-			if cancel {
-				specCancel.Store(true)
-			}
-			r := <-specCh
-			specCh = nil
-			return r
-		}
 
 		vsp := s.tr.Start("cegis.verify", isp.ID())
 		t0 := time.Now()
@@ -1080,7 +786,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		s.ct.vsolveNS.Add(int64(d))
 		vsp.EndDur(d, obs.Str(obs.AttrPhase, obs.PhaseVSolve))
 		if err != nil {
-			joinSpec(true)
 			if errors.Is(err, mc.ErrCanceled) {
 				err = ErrCanceled
 				endIter("canceled", 0, 0)
@@ -1094,7 +799,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		s.ct.mcSymClasses.Max(int64(mres.SymClasses))
 		s.ct.mcOrbitHits.Add(mres.OrbitHits)
 		s.ct.mcVisitedBytes.Max(int64(mres.VisitedBytes))
-		s.statsMu.Lock()
 		if mres.SymClasses > s.runSymClasses {
 			s.runSymClasses = mres.SymClasses
 		}
@@ -1108,23 +812,14 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		for i, n := range mres.WorkerStates {
 			s.mcWorkerStates[i] += n
 		}
-		s.statsMu.Unlock()
 		s.maybeSampleHeap(iter)
 		if mres.OK {
-			// The speculative next candidate is moot; tear it down.
-			joinSpec(true)
 			s.opts.Verbose("iteration %d: candidate verified (%d states)", iter, mres.States)
 			endIter("resolved", mres.States, 0)
 			return &Result{Resolved: true, Candidate: cand}, nil
 		}
 		lastTrace = mres.Trace
 		s.opts.Verbose("iteration %d: %d counterexample(s): %s", iter, len(mres.Traces), mres.Trace)
-
-		// Reclaim the solver before projecting: the projection adds
-		// clauses. Not canceling here costs nothing on the critical
-		// path — an unfinished speculative solve is exactly the solve
-		// the unpipelined loop would now run in the foreground.
-		spec := joinSpec(false)
 
 		psp := s.tr.Start("cegis.project", isp.ID())
 		if s.tr != nil {
@@ -1133,32 +828,16 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		}
 		t0 = time.Now()
 		refuted := false
-		specAlive := spec.found
-		var specAsn map[circuit.Lit]bool
-		if specAlive {
-			specAsn = s.inputAssignment(spec.cand)
-		}
 		candAsn := s.inputAssignment(cand)
 		for _, tr := range mres.Traces {
-			entries := project.Build(s.Prog, tr)
-			failLit, err := s.projCache.Encode(entries)
+			failLit, err := s.projCache.Encode(project.Build(s.Prog, tr))
 			if err != nil {
 				endIter("error", mres.States, len(mres.Traces))
 				return nil, err
 			}
 			s.solver.AddClause(s.b.ToSAT(s.solver, s.vmap, failLit.Not()))
-			// A projection is a whole-space fact: broadcast it so every
-			// other cube installs it too.
-			if s.opts.TraceBus != nil {
-				s.opts.TraceBus.Publish(s.opts.CubeID, entries)
-			}
 			if s.b.Eval(candAsn, failLit) {
 				refuted = true
-			}
-			// Re-check the speculative candidate against each learned
-			// constraint: it survives only if no new clause refutes it.
-			if specAlive && s.b.Eval(specAsn, failLit) {
-				specAlive = false
 			}
 		}
 		d = time.Since(t0)
@@ -1186,67 +865,9 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 				s.opts.Verbose("iteration %d: WATCH: clause set now contradicts the watched candidate", iter)
 			}
 		}
-		if specAlive {
-			// The speculative model satisfies every constraint learned
-			// this iteration (and, by construction, everything earlier):
-			// adopt it and skip the next blocking solve entirely.
-			s.ct.specHits.Add(1)
-			s.opts.Verbose("iteration %d: speculative candidate %v survived the new constraints", iter, spec.cand)
-			cand = spec.cand
-			haveCand = true
-		}
 		endIter("refuted", mres.States, len(mres.Traces))
 	}
 	return nil, fmt.Errorf("core: no convergence after %d iterations", s.opts.MaxIterations)
-}
-
-// importRemoteTraces adopts every projection other cubes published on
-// the TraceBus since the last import and installs each as a constraint
-// — the exchange re-encodes the ENTRIES through this cube's own
-// projection cache rather than shipping CNF, because Tseitin variable
-// numbering above the setup prefix diverges per cube. Entries are
-// whole-space facts (see internal/project), so installing them in any
-// cube is sound; the encoding goes through AddClause and is therefore
-// logged as a DRAT premise exactly like a locally discovered
-// projection. Returns whether the currently held candidate (if any)
-// survived the imported constraints. The caller must own the solver.
-func (s *Synthesizer) importRemoteTraces(parent obs.SpanID, cand desugar.Candidate, haveCand bool) (bool, error) {
-	batches, next := s.opts.TraceBus.Fetch(s.traceCursor, s.opts.CubeID)
-	s.traceCursor = next
-	if len(batches) == 0 {
-		return haveCand, nil
-	}
-	sp := s.tr.Start("cube.import", parent)
-	t0 := time.Now()
-	alive := haveCand
-	var candAsn map[circuit.Lit]bool
-	if haveCand {
-		candAsn = s.inputAssignment(cand)
-	}
-	pruned := false
-	for _, b := range batches {
-		failLit, err := s.projCache.Encode(b.Entries)
-		if err != nil {
-			return false, err
-		}
-		s.solver.AddClause(s.b.ToSAT(s.solver, s.vmap, failLit.Not()))
-		if alive && s.b.Eval(candAsn, failLit) {
-			alive = false
-			pruned = true
-		}
-	}
-	s.ct.remoteTraces.Add(int64(len(batches)))
-	if pruned {
-		s.ct.prunedRemote.Add(1)
-	}
-	d := time.Since(t0)
-	s.ct.smodelNS.Add(int64(d))
-	sp.EndDur(d,
-		obs.Str(obs.AttrPhase, obs.PhaseSModel),
-		obs.Int("cube.id", int64(s.opts.CubeID)),
-		obs.Int("traces", int64(len(batches))),
-		obs.Int("pruned", b2i(pruned)))
-	return alive, nil
 }
 
 // inputAssignment maps the builder's hole input literals to the bits of
@@ -1294,7 +915,7 @@ func (s *Synthesizer) synthesizeSequential() (*Result, error) {
 			return nil, err
 		}
 		if !ok {
-			cert, cerr := s.certifyUNSAT(s.proof, s.cubeDimacs(), "candidate-space exhaustion")
+			cert, cerr := s.certifyUNSAT(s.proof, nil, "candidate-space exhaustion")
 			endIter("exhausted")
 			if cerr != nil {
 				return nil, cerr
@@ -1412,7 +1033,7 @@ func (s *Synthesizer) verifySequential(cand desugar.Candidate, parent obs.SpanID
 	t0 := time.Now()
 	if s.verifier == nil {
 		s.vb = circuit.NewBuilder()
-		s.verifier = newSolver(s.opts.Parallelism, s.opts.NoShareClauses)
+		s.verifier = newSolver(s.opts.Parallelism)
 		s.verifier.SetTracer(s.opts.Trace)
 		if s.opts.Proof {
 			s.vproof = drat.NewRecorder()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"psketch/internal/desugar"
@@ -222,7 +224,7 @@ harness void M() {
 // The parallel engine (portfolio + sharded MC) must reach the same
 // verdict as the sequential one on a concurrent sketch, and its
 // resolved candidate must itself verify. This is the race-detector
-// exercise for the whole pipeline.
+// exercise for the whole -j N engine.
 func TestParallelSynthesizeMatchesSequential(t *testing.T) {
 	seqSyn := build(t, raceySketch, "M", desugar.Options{}, Options{Parallelism: 1})
 	seqRes, err := seqSyn.Synthesize()
@@ -308,5 +310,62 @@ func TestSequentialModeDeterminism(t *testing.T) {
 			again.Stats.MCStates != first.Stats.MCStates {
 			t.Fatalf("sequential mode nondeterministic:\nfirst %+v\nagain %+v", first.Stats, again.Stats)
 		}
+	}
+}
+
+// The -j 4 engine (sharing portfolio plus sharded model checker) must
+// keep an unresolvable sketch a definitive NO whatever hole widths the
+// portfolio races over.
+func TestPipelineUnresolvable(t *testing.T) {
+	syn := build(t, `
+int g = 0;
+harness void M() {
+	fork (i; 2) {
+		int t = g;
+		t = t + ??(2);
+		g = t;
+	}
+	assert g == 2;
+}
+`, "M", desugar.Options{}, Options{Parallelism: 4})
+	res, err := syn.Synthesize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolved {
+		t.Fatalf("racy increment cannot be resolved; got %v", res.Candidate)
+	}
+}
+
+// A pre-fired Cancel token must abort the -j 4 engine immediately with
+// ErrCanceled and leave no goroutines behind (the -race run would flag
+// a leaked solve).
+func TestPipelineCancel(t *testing.T) {
+	var cancel atomic.Bool
+	cancel.Store(true)
+	syn := build(t, raceySketch, "M", desugar.Options{}, Options{Parallelism: 4, Cancel: &cancel})
+	_, err := syn.Synthesize()
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+}
+
+// Enumerate must keep working at -j 4 across Synthesize calls with the
+// persistent projection cache and the portfolio's shared clause pool.
+func TestPipelineEnumerate(t *testing.T) {
+	syn := build(t, `
+int g = 0;
+harness void M() {
+	fork (i; 1) { }
+	g = ??(2);
+	assert g >= 2;
+}
+`, "M", desugar.Options{}, Options{Parallelism: 4})
+	rs, err := syn.Enumerate(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 2 { // 2 and 3
+		t.Fatalf("got %d candidates", len(rs))
 	}
 }

@@ -55,7 +55,7 @@ int f(int x) implements spec { return x + ??(2); }
 }
 
 // The concurrent engine's exhaustion exit must be certified under the
-// full parallel configuration (portfolio, clause sharing, pipeline).
+// full parallel configuration (a clause-sharing portfolio).
 func TestProofConcurrentUnresolvable(t *testing.T) {
 	src := `
 int g = 0;

@@ -64,9 +64,6 @@ type Recorder struct {
 	steps    []op
 	attached int
 	lemmas   int
-	// nextVar is the high-water mark of merged-space variables handed
-	// out to Namespaces (see merge.go); 0 until the first allocation.
-	nextVar int
 }
 
 // NewRecorder returns an empty proof log.

@@ -152,8 +152,7 @@ type Options struct {
 	Parallelism int
 	// Cancel, when set and stored true by another goroutine, makes the
 	// search unwind cooperatively; Check then returns ErrCanceled. The
-	// pipelined CEGIS loop uses this to abandon a verification the
-	// speculative solver has already made moot.
+	// CEGIS loop passes its own cancellation token through.
 	Cancel *atomic.Bool
 	// Tracer, when set, emits one "mc.check" span per Check (states,
 	// transitions, POR-pruned and sleep-set-skipped transition counts)

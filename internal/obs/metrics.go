@@ -52,10 +52,10 @@ func (c *Counter) Get() int64 {
 }
 
 // HighWaterCounters names the registry counters that record peaks
-// rather than sums. Code that folds one registry into another — cube
-// workers merging their private registries into the coordinator's —
-// must Max these and Add the rest, or a four-worker run would report
-// four times the real heap high-water.
+// rather than sums. Code that folds one registry into another — a bench
+// sweep merging each row's private registry into its own — must Max
+// these and Add the rest, or a four-row sweep would report four times
+// the real heap high-water.
 var HighWaterCounters = map[string]bool{
 	"heap.max_bytes":   true,
 	"mc.visited_bytes": true,

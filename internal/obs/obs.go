@@ -5,8 +5,7 @@
 //
 // The paper's Figure 9 reports only end-of-run aggregates; this package
 // is what lets a run answer "where did this 40 s synthesis go?" across
-// the pipelined CEGIS loop, the SAT portfolio and the sharded model
-// checker. cmd/psktrace renders and diffs the journals it produces.
+// the CEGIS loop, the SAT portfolio and the sharded model checker. cmd/psktrace renders and diffs the journals it produces.
 //
 // # Cost model
 //

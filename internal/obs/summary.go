@@ -12,16 +12,15 @@ import (
 // Keeping them here keeps the journal vocabulary in one place.
 const (
 	// AttrPhase tags a span with the Stats phase its duration feeds:
-	// every nanosecond counted into Stats.SSolve/SModel/VSolve/VModel/
-	// SpecSolve is covered by exactly one span carrying this attribute,
-	// which is what makes journal phase totals and Stats agree.
+	// every nanosecond counted into Stats.SSolve/SModel/VSolve/VModel
+	// is covered by exactly one span carrying this attribute, which is
+	// what makes journal phase totals and Stats agree.
 	AttrPhase = "phase"
 
 	PhaseSSolve = "ssolve"
 	PhaseSModel = "smodel"
 	PhaseVSolve = "vsolve"
 	PhaseVModel = "vmodel"
-	PhaseSpec   = "spec"
 
 	SpanBenchRun  = "bench.run"       // one benchmark row (attrs: bench, test)
 	SpanIteration = "cegis.iteration" // one CEGIS iteration (attr: iter)
@@ -32,7 +31,7 @@ const (
 func PhaseCounter(phase string) string { return "cegis." + phase + "_ns" }
 
 // Phases lists the phase tags in presentation order.
-var Phases = []string{PhaseSSolve, PhaseSModel, PhaseVSolve, PhaseVModel, PhaseSpec}
+var Phases = []string{PhaseSSolve, PhaseSModel, PhaseVSolve, PhaseVModel}
 
 // index maps span IDs to records.
 func (j *Journal) index() map[SpanID]*SpanRecord {
@@ -162,9 +161,6 @@ func Summarize(w io.Writer, j *Journal, topN int) {
 			}
 			fmt.Fprintf(w, "%-8s %10s %10s %8s\n", p, fmtNS(st), mcol, drift)
 		}
-		if _, ok := totals[PhaseSpec]; ok {
-			fmt.Fprintf(w, "(spec time overlaps verification; it is not on the critical path)\n")
-		}
 	}
 
 	// Aggregated time tree.
@@ -290,7 +286,7 @@ func IterationRows(j *Journal) []IterRow {
 // iterationColumns picks the child-span columns of the iteration
 // table: preferred CEGIS phases first, any others alphabetically.
 func iterationColumns(rows []IterRow) []string {
-	preferred := []string{"cegis.solve", "cegis.verify", "cegis.project", "cegis.spec"}
+	preferred := []string{"cegis.solve", "cegis.verify", "cegis.project"}
 	seen := map[string]bool{}
 	for _, r := range rows {
 		for name := range r.Children {

@@ -17,8 +17,6 @@ type WorkerStats struct {
 	Restarts     int64
 	Exported     int64 // learnt clauses published to the shared pool
 	Imported     int64 // shared clauses adopted from other workers
-	BusExported  int64 // learnt clauses relayed to the cross-cube bus
-	BusImported  int64 // bus clauses adopted from other cubes
 }
 
 // Portfolio races N diversified CDCL solvers on the same formula.
@@ -32,9 +30,8 @@ type WorkerStats struct {
 // length/LBD caps of share.go) and imports everyone else's exports at
 // its restart boundaries, so diversified searches stop rediscovering
 // each other's conflicts. Sharing is sound — learned clauses are
-// implied by the common problem clauses alone — and can be disabled
-// with SetSharing(false) for ablation. A 1-worker portfolio never
-// creates a pool.
+// implied by the common problem clauses alone. A 1-worker portfolio
+// never creates a pool.
 //
 // Solve runs every worker in its own goroutine under a shared
 // cancellation token; the first worker to reach a verdict wins, the
@@ -45,7 +42,6 @@ type WorkerStats struct {
 // and the behaviour is bit-for-bit the plain Solver's.
 type Portfolio struct {
 	ws     []*Solver
-	pool   *sharedPool
 	winner int
 	wins   []int64
 
@@ -56,7 +52,7 @@ type Portfolio struct {
 }
 
 // NewPortfolio returns a portfolio of n diversified workers (n < 1 is
-// treated as 1) with clause sharing enabled. Worker 0 always runs the
+// treated as 1) that share learnt clauses. Worker 0 always runs the
 // default configuration.
 func NewPortfolio(n int) *Portfolio {
 	if n < 1 {
@@ -67,63 +63,27 @@ func NewPortfolio(n int) *Portfolio {
 		p.ws[i] = NewWith(DiverseConfig(i))
 	}
 	if n > 1 {
-		p.pool = &sharedPool{}
+		pool := &sharedPool{}
 		for i, w := range p.ws {
-			w.shared, w.sharedID = p.pool, i
+			w.shared, w.sharedID = pool, i
 		}
 	}
 	return p
 }
 
-// SetSharing enables or disables the learned-clause pool. Call between
-// Solve calls only. Disabling drops the pool reference but keeps
-// clauses already imported (they are implied, so they stay sound).
-func (p *Portfolio) SetSharing(on bool) {
-	if len(p.ws) == 1 {
-		return
-	}
-	if !on {
-		p.pool = nil
-		for _, w := range p.ws {
-			w.shared = nil
-		}
-		return
-	}
-	if p.pool == nil {
-		p.pool = &sharedPool{}
-	}
-	for i, w := range p.ws {
-		w.shared, w.sharedID = p.pool, i
-	}
-}
-
-// Sharing reports whether the learned-clause pool is active.
-func (p *Portfolio) Sharing() bool { return p.pool != nil }
-
-// SetProof attaches one DRAT proof sink to every worker. The
+// SetProof attaches one DRAT proof recorder to every worker. The
 // underlying recorder's mutex linearizes the workers' learnt clauses
 // into a single merged derivation; only worker 0 logs problem clauses
 // (AddClause broadcasts the identical stream to every worker, so one
 // copy suffices), and the recorder drops per-worker deletions once more
 // than one solver is attached. Call before adding clauses.
-func (p *Portfolio) SetProof(r drat.Sink) {
+func (p *Portfolio) SetProof(r *drat.Recorder) {
 	for i, w := range p.ws {
 		w.proof = r
 		w.proofPremises = i == 0
 		if r != nil {
 			r.Attach()
 		}
-	}
-}
-
-// SetBus connects every worker to the cross-cube clause bus as members
-// of cube id: each worker exports its own prefix-only learnt clauses
-// and imports other cubes' at restart boundaries, while skipping
-// clauses its own cube published (intra-cube exchange stays the shared
-// pool's job). Call between Solve calls only.
-func (p *Portfolio) SetBus(b *Bus, id int) {
-	for _, w := range p.ws {
-		w.SetBus(b, id)
 	}
 }
 
@@ -188,8 +148,7 @@ func (p *Portfolio) Solve(assumptions ...Lit) bool {
 // another goroutine sets cancel, every worker unwinds and SolveCancel
 // returns canceled=true with no verdict (unless some worker had already
 // answered, in which case its verdict stands). The portfolio stays
-// incremental either way. This is how the pipelined CEGIS loop tears
-// down a speculative solve the verifier has made moot.
+// incremental either way.
 func (p *Portfolio) SolveCancel(cancel *atomic.Bool, assumptions ...Lit) (sat, canceled bool) {
 	if len(p.ws) == 1 {
 		ok, canceled := p.ws[0].SolveCancel(cancel, assumptions...)
@@ -279,8 +238,6 @@ func (p *Portfolio) WorkerStats() []WorkerStats {
 			Restarts:     w.Stats.Restarts,
 			Exported:     w.Stats.Exported,
 			Imported:     w.Stats.Imported,
-			BusExported:  w.Stats.BusExported,
-			BusImported:  w.Stats.BusImported,
 		}
 	}
 	return out

@@ -223,22 +223,13 @@ type Solver struct {
 	sharedID    int
 	shareCursor uint64
 
-	// Cross-cube clause bus (cube-and-conquer members only; nil
-	// otherwise): relays prefix-only clauses between solver groups, see
-	// Bus. busID is the cube this solver belongs to.
-	bus       *Bus
-	busID     int
-	busCursor uint64
-
 	// DRAT proof logging (nil when disabled): every learnt clause is
-	// stamped into the sink before it is exported to the shared
-	// pool or the cube bus, so a recorder shared by portfolio workers
-	// (or, through per-cube drat.Namespaces, by whole cube groups)
-	// linearizes the merged derivation (see internal/drat).
-	// proofPremises marks the one solver of a recorder-sharing group
-	// that logs problem clauses (all portfolio workers receive the same
-	// broadcast).
-	proof         drat.Sink
+	// stamped into the recorder before it is exported to the shared
+	// pool, so a recorder shared by portfolio workers linearizes the
+	// merged derivation (see internal/drat). proofPremises marks the one
+	// solver of a recorder-sharing group that logs problem clauses (all
+	// portfolio workers receive the same broadcast).
+	proof         *drat.Recorder
 	proofPremises bool
 	dimacsBuf     []int
 
@@ -258,8 +249,6 @@ type Solver struct {
 		Reduces      int64
 		Exported     int64 // learnt clauses published to the shared pool
 		Imported     int64 // shared clauses adopted from other workers
-		BusExported  int64 // learnt clauses relayed to the cross-cube bus
-		BusImported  int64 // bus clauses adopted from other cubes
 	}
 }
 
@@ -293,26 +282,19 @@ func (s *Solver) dimacs(lits []Lit) []int {
 	return out
 }
 
-// SetProof attaches a DRAT proof sink (a drat.Recorder, or a
-// drat.Namespace of a shared one in cube mode): from now on every
-// problem clause is logged as a premise and every learnt clause as a
-// lemma, so UNSAT verdicts can be replayed through
-// drat.Certificate.Verify. Attach the sink before adding clauses;
-// clauses added earlier are missing from the log and the replay of a
-// later UNSAT verdict may fail. Portfolio workers share one sink via
-// Portfolio.SetProof instead.
-func (s *Solver) SetProof(r drat.Sink) {
+// SetProof attaches a DRAT proof recorder: from now on every problem
+// clause is logged as a premise and every learnt clause as a lemma, so
+// UNSAT verdicts can be replayed through drat.Certificate.Verify.
+// Attach the recorder before adding clauses; clauses added earlier are
+// missing from the log and the replay of a later UNSAT verdict may
+// fail. Portfolio workers share one recorder via Portfolio.SetProof
+// instead.
+func (s *Solver) SetProof(r *drat.Recorder) {
 	s.proof = r
 	s.proofPremises = true
 	if r != nil {
 		r.Attach()
 	}
-}
-
-// SetBus connects the solver to the cross-cube clause bus as a member
-// of cube id. Call between Solve calls only.
-func (s *Solver) SetBus(b *Bus, id int) {
-	s.bus, s.busID = b, id
 }
 
 // NumVars returns the number of allocated variables.
@@ -816,25 +798,18 @@ func (s *Solver) solveCancel2(cancel, cancel2 *atomic.Bool, assumptions ...Lit) 
 }
 
 // exportLearnt publishes a freshly learned clause to the shared pool
-// and the cross-cube bus when it passes the length and LBD quality
-// gates (the bus additionally refuses clauses mentioning variables
-// outside the shared prefix). The caller has already stamped the
-// clause into the proof sink, so importers elsewhere always find it in
-// the merged derivation.
+// when it passes the length and LBD quality gates. The caller has
+// already stamped the clause into the proof recorder, so importers
+// always find it in the merged derivation.
 func (s *Solver) exportLearnt(learnt []Lit) {
-	if s.shared == nil && s.bus == nil {
+	if s.shared == nil {
 		return
 	}
 	if len(learnt) > shareMaxLen || s.lbd(learnt) > shareMaxLBD {
 		return
 	}
-	if s.shared != nil {
-		s.shared.publish(s.sharedID, learnt)
-		s.Stats.Exported++
-	}
-	if s.bus != nil && s.bus.Publish(s.busID, learnt) {
-		s.Stats.BusExported++
-	}
+	s.shared.publish(s.sharedID, learnt)
+	s.Stats.Exported++
 }
 
 // lbd computes the literal-block distance of a clause: the number of
@@ -857,29 +832,20 @@ func (s *Solver) lbd(lits []Lit) int {
 	return n
 }
 
-// importShared adopts every pool and bus clause published since the
-// last import (skipping this worker's own pool exports and its cube's
-// bus exports). Must be called at decision level 0. Returns false when
-// an import reveals the formula unsatisfiable.
+// importShared adopts every pool clause published since the last
+// import (skipping this worker's own exports). Must be called at
+// decision level 0. Returns false when an import reveals the formula
+// unsatisfiable.
 func (s *Solver) importShared() bool {
-	if s.shared != nil {
-		cls, next := s.shared.fetch(s.shareCursor, s.sharedID)
-		s.shareCursor = next
-		for _, lits := range cls {
-			if !s.addImported(lits, &s.Stats.Imported) {
-				s.ok = false
-				return false
-			}
-		}
+	if s.shared == nil {
+		return true
 	}
-	if s.bus != nil {
-		cls, next := s.bus.Fetch(s.busCursor, s.busID)
-		s.busCursor = next
-		for _, lits := range cls {
-			if !s.addImported(lits, &s.Stats.BusImported) {
-				s.ok = false
-				return false
-			}
+	cls, next := s.shared.fetch(s.shareCursor, s.sharedID)
+	s.shareCursor = next
+	for _, lits := range cls {
+		if !s.addImported(lits) {
+			s.ok = false
+			return false
 		}
 	}
 	return true
@@ -888,10 +854,9 @@ func (s *Solver) importShared() bool {
 // addImported installs one shared clause as a learnt clause: satisfied
 // clauses are skipped, level-0-false literals dropped, units enqueued
 // and propagated. The clause is implied by the problem clauses (see
-// sharedPool and Bus), so all outcomes — including a propagation
-// conflict, which proves UNSAT — are sound. counter is the Stats field
-// credited on adoption.
-func (s *Solver) addImported(lits []Lit, counter *int64) bool {
+// sharedPool), so all outcomes — including a propagation conflict,
+// which proves UNSAT — are sound.
+func (s *Solver) addImported(lits []Lit) bool {
 	out := s.scratch[:0]
 	for _, l := range lits {
 		switch s.valueLit(l) {
@@ -904,7 +869,7 @@ func (s *Solver) addImported(lits []Lit, counter *int64) bool {
 		out = append(out, l)
 	}
 	s.scratch = out
-	*counter++
+	s.Stats.Imported++
 	switch len(out) {
 	case 0:
 		return false

@@ -75,58 +75,3 @@ func (p *sharedPool) published() uint64 {
 	defer p.mu.Unlock()
 	return p.next
 }
-
-// Bus is the cross-cube generalization of the portfolio pool: a
-// bounded broadcast exchange between solver GROUPS that share only a
-// variable-numbering prefix, not a full clause database. Cube-and-
-// conquer CEGIS (internal/cube) encodes the same sketch in every cube,
-// so the setup variables — hole bits and structural constraints — are
-// a deterministic common prefix; everything above it (per-cube
-// projection Tseitin variables) means different things in different
-// cubes. Publish therefore refuses any clause mentioning a variable at
-// or beyond the prefix boundary: what remains is a clause over shared
-// vocabulary, implied by problem clauses common to every cube (cube
-// membership is enforced by Solve assumptions, never clauses, so
-// learnt clauses carry no hidden cube premises — see
-// ARCHITECTURE.md), and is sound for every other cube to adopt.
-//
-// Origins are cube IDs: every solver of one cube publishes and fetches
-// under its cube's ID, so a cube never reimports its own exports
-// (intra-cube exchange is the portfolio pool's job). The same
-// length/LBD quality gates of the pool apply before Publish is ever
-// called.
-type Bus struct {
-	maxVar int
-	pool   sharedPool
-}
-
-// NewBus returns a bus that relays only clauses whose variables all
-// lie in the shared prefix [0, maxVar).
-func NewBus(maxVar int) *Bus {
-	return &Bus{maxVar: maxVar}
-}
-
-// MaxVar returns the shared-prefix bound.
-func (b *Bus) MaxVar() int { return b.maxVar }
-
-// Publish offers a clause to every other cube. It reports whether the
-// clause was relayed (false when any literal lies outside the shared
-// prefix).
-func (b *Bus) Publish(origin int, lits []Lit) bool {
-	for _, l := range lits {
-		if l.Var() >= b.maxVar {
-			return false
-		}
-	}
-	b.pool.publish(origin, lits)
-	return true
-}
-
-// Fetch returns the clauses published since cursor from that did not
-// originate from cube self, plus the new cursor.
-func (b *Bus) Fetch(from uint64, self int) ([][]Lit, uint64) {
-	return b.pool.fetch(from, self)
-}
-
-// Published returns the total number of clauses ever relayed.
-func (b *Bus) Published() uint64 { return b.pool.published() }

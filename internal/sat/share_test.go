@@ -85,8 +85,14 @@ func TestSolverImportsShared(t *testing.T) {
 func TestPortfolioSharingExchangesClauses(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := NewPortfolio(4)
-	if !p.Sharing() {
-		t.Fatal("multi-worker portfolio should share by default")
+	pool := p.ws[0].shared
+	for _, w := range p.ws {
+		if pool == nil || w.shared != pool {
+			t.Fatal("every worker of a multi-worker portfolio must share one pool")
+		}
+	}
+	if NewPortfolio(1).ws[0].shared != nil {
+		t.Fatal("1-worker portfolio must not create a pool")
 	}
 	nv := 120
 	for i := 0; i < nv; i++ {
@@ -116,41 +122,8 @@ func TestPortfolioSharingExchangesClauses(t *testing.T) {
 	if imported == 0 {
 		t.Fatal("no worker imported any clause")
 	}
-	if uint64(exported) != p.pool.published() {
-		t.Fatalf("Exported sum %d != pool published %d", exported, p.pool.published())
-	}
-}
-
-// SetSharing(false) must detach the pool so ablation runs are clean.
-func TestPortfolioSetSharing(t *testing.T) {
-	p := NewPortfolio(2)
-	p.SetSharing(false)
-	if p.Sharing() {
-		t.Fatal("sharing should be off")
-	}
-	for _, w := range p.ws {
-		if w.shared != nil {
-			t.Fatal("worker still attached to pool")
-		}
-	}
-	pigeonholeAdder(p, 6)
-	if p.Solve() {
-		t.Fatal("expected UNSAT")
-	}
-	for _, w := range p.WorkerStats() {
-		if w.Exported != 0 || w.Imported != 0 {
-			t.Fatalf("sharing disabled but stats moved: %+v", w)
-		}
-	}
-	p.SetSharing(true)
-	if !p.Sharing() {
-		t.Fatal("sharing should be back on")
-	}
-	// 1-worker portfolios never share.
-	q := NewPortfolio(1)
-	q.SetSharing(true)
-	if q.Sharing() {
-		t.Fatal("1-worker portfolio must not create a pool")
+	if uint64(exported) != pool.published() {
+		t.Fatalf("Exported sum %d != pool published %d", exported, pool.published())
 	}
 }
 
@@ -289,51 +262,5 @@ func TestExportLearntBoundaries(t *testing.T) {
 	s.exportLearnt(lits)
 	if s.Stats.Exported != 1 {
 		t.Fatalf("LBD=%d clause must export", shareMaxLBD)
-	}
-}
-
-// The cross-cube bus must refuse any clause mentioning a variable at
-// or beyond the shared-prefix boundary, and count only relayed ones.
-func TestBusPrefixFilter(t *testing.T) {
-	b := NewBus(3) // shared prefix: vars 0,1,2
-	if !b.Publish(0, []Lit{MkLit(0, false), MkLit(2, true)}) {
-		t.Fatal("in-prefix clause refused")
-	}
-	if b.Publish(0, []Lit{MkLit(0, false), MkLit(3, true)}) {
-		t.Fatal("clause with var 3 must be refused at maxVar=3")
-	}
-	if b.Published() != 1 {
-		t.Fatalf("Published=%d, want 1", b.Published())
-	}
-	if b.MaxVar() != 3 {
-		t.Fatalf("MaxVar=%d, want 3", b.MaxVar())
-	}
-	// Fetch skips the caller's own cube but serves others.
-	if got, _ := b.Fetch(0, 0); len(got) != 0 {
-		t.Fatalf("origin cube re-fetched its own clause: %v", got)
-	}
-	got, cur := b.Fetch(0, 1)
-	if len(got) != 1 || cur != 1 {
-		t.Fatalf("other cube should fetch 1 clause, got %d cur=%d", len(got), cur)
-	}
-
-	// A solver wired to the bus applies the same filter at export time:
-	// the pool takes the clause, the bus refuses it.
-	s := New()
-	for i := 0; i < 8; i++ {
-		s.NewVar()
-	}
-	s.shared, s.sharedID = &sharedPool{}, 0
-	s.bus, s.busID = NewBus(2), 5
-	s.exportLearnt([]Lit{MkLit(0, false), MkLit(4, true)})
-	if s.Stats.Exported != 1 {
-		t.Fatalf("pool export missing: %d", s.Stats.Exported)
-	}
-	if s.Stats.BusExported != 0 || s.bus.Published() != 0 {
-		t.Fatal("bus must refuse out-of-prefix clause")
-	}
-	s.exportLearnt([]Lit{MkLit(0, false), MkLit(1, true)})
-	if s.Stats.BusExported != 1 || s.bus.Published() != 1 {
-		t.Fatalf("in-prefix clause not relayed: BusExported=%d", s.Stats.BusExported)
 	}
 }

@@ -13,10 +13,9 @@ import (
 // propagations, pool exchange). With no tracer the solve path is
 // untouched — one nil check per Solve call.
 //
-// The span parent is plain state set between solves: solver ownership
-// already alternates strictly (the CEGIS driver or the speculative
-// goroutine, never both), and the portfolio repoints its workers before
-// launching the race goroutines.
+// The span parent is plain state set between solves: the CEGIS loop's
+// goroutine alone owns the solver, and the portfolio repoints its
+// workers before launching the race goroutines.
 
 // SetTracer attaches tr (nil disables tracing). Call between solves.
 func (s *Solver) SetTracer(tr *obs.Tracer) {

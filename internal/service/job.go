@@ -44,8 +44,6 @@ type JobOptions struct {
 	Traces        int  `json:"traces,omitempty"`
 	Parallelism   int  `json:"parallelism,omitempty"`
 	Proof         bool `json:"proof,omitempty"`
-	NoPipeline    bool `json:"no_pipeline,omitempty"`
-	NoShare       bool `json:"no_share_clauses,omitempty"`
 	NoPOR         bool `json:"no_por,omitempty"`
 	NoSymmetry    bool `json:"no_symmetry,omitempty"`
 	// TimeoutMS bounds the job's wall clock; 0 takes (and any value is

@@ -328,6 +328,10 @@ func TestServiceBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	valid, err := json.Marshal(source(t, "queueE1", "ed(ee|dd)"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		body string
@@ -338,6 +342,8 @@ func TestServiceBadRequests(t *testing.T) {
 		{"no harness", `{"src":"void f() { }"}`, http.StatusBadRequest},
 		{"unknown field", `{"sauce":"x"}`, http.StatusBadRequest},
 		{"not json", `hello`, http.StatusBadRequest},
+		// A valid sketch with an option the engine no longer has.
+		{"unknown option", `{"src":` + string(valid) + `,"options":{"no_pipeline":true}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))

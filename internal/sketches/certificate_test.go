@@ -9,9 +9,9 @@ import (
 // Acceptance gate for the proof subsystem: with Options.Proof set,
 // core replays every UNSAT verdict it commits to through the DRAT
 // backward checker and turns a failed replay into an error — so
-// running the Table 1 suite with proofs on, across the solo,
-// portfolio, and portfolio-without-sharing configurations, enforces
-// that every such verdict carries a valid certificate.
+// running the Table 1 suite with proofs on, across the solo and the
+// clause-sharing portfolio configurations, enforces that every such
+// verdict carries a valid certificate.
 func TestTable1UNSATVerdictsAreCertified(t *testing.T) {
 	cases := []struct {
 		b        *Benchmark
@@ -30,7 +30,6 @@ func TestTable1UNSATVerdictsAreCertified(t *testing.T) {
 	}{
 		{"solo", core.Options{Parallelism: 1, Proof: true}},
 		{"portfolio-sharing", core.Options{Parallelism: 4, Proof: true}},
-		{"portfolio-noshare", core.Options{Parallelism: 4, NoShareClauses: true, Proof: true}},
 	}
 	for _, tc := range cases {
 		for _, cfg := range configs {

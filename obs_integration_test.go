@@ -42,7 +42,6 @@ func phasePairs(st core.Stats) map[string]int64 {
 		obs.PhaseSModel: int64(st.SModel),
 		obs.PhaseVSolve: int64(st.VSolve),
 		obs.PhaseVModel: int64(st.VModel),
-		obs.PhaseSpec:   int64(st.SpecSolve),
 	}
 }
 

@@ -28,11 +28,9 @@ import (
 	"io"
 	"math/big"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 
 	"psketch/internal/core"
-	"psketch/internal/cube"
 	"psketch/internal/desugar"
 	"psketch/internal/drat"
 	"psketch/internal/emit"
@@ -79,9 +77,10 @@ type Options struct {
 	// traces per CEGIS iteration (default 1, the paper's behaviour).
 	// Larger values speed up deadlock-heavy spaces considerably.
 	TracesPerIteration int
-	// Parallelism sizes the SAT portfolio and the model checker's
-	// worker pool (default runtime.GOMAXPROCS(0)); 1 selects the fully
-	// deterministic sequential engine. See ARCHITECTURE.md.
+	// Parallelism sizes the SAT portfolio, whose workers share learnt
+	// clauses, and the model checker's worker pool (default
+	// runtime.GOMAXPROCS(0)); 1 selects the fully deterministic
+	// sequential engine. See ARCHITECTURE.md.
 	Parallelism int
 	// NoPOR disables the model checker's footprint-based partial-order
 	// reduction (on by default; see ARCHITECTURE.md for the reduction
@@ -94,27 +93,6 @@ type Options struct {
 	// "" (exact fingerprint table, the default) or "collapse" (exact,
 	// component-interned). "collapse" forces the verifier sequential.
 	MCCompress string
-	// NoPipeline disables the speculative solve/verify overlap of the
-	// concurrent CEGIS engine (on by default at Parallelism > 1).
-	NoPipeline bool
-	// NoShareClauses disables learned-clause exchange between the SAT
-	// portfolio's workers (on by default at Parallelism > 1) and, under
-	// Cubes > 1, between cubes.
-	NoShareClauses bool
-	// Cubes > 1 switches Synthesize to cube-and-conquer CEGIS: the
-	// candidate space is split on high-fanout hole bits into that many
-	// disjoint cubes (rounded down to a power of two), independent
-	// engines race them, the first verified completion cancels the
-	// rest, and per-cube exhaustions merge into a whole-space NO (one
-	// merged DRAT certificate under Proof). Parallelism is divided
-	// among the cubes: each engine runs with max(1,
-	// Parallelism/Cubes)-way inner parallelism. 0 and 1 run the
-	// ordinary single-engine loop, bit-for-bit unchanged.
-	Cubes int
-	// CubeWorkers bounds how many cube engines run concurrently under
-	// Cubes > 1 (default 0 = one per cube); finished workers steal
-	// unstarted cubes from the queue.
-	CubeWorkers int
 	// Proof enables DRAT proof logging in the SAT backends and replays
 	// every committed UNSAT verdict through the internal/drat backward
 	// checker, so a "cannot be resolved" answer carries a verified
@@ -150,8 +128,8 @@ type Options struct {
 	// repeated synthesis of the same sketch (psketchd's workload)
 	// starts with earlier runs' projection prefixes memoized. Keyed by
 	// SketchHash; concurrent runs of one sketch are safe (the checkout
-	// is exclusive — losers build cold). Ignored under Cubes > 1 and
-	// for sequential sketches.
+	// is exclusive — losers build cold). Ignored for sequential
+	// sketches.
 	Warm *WarmStore
 }
 
@@ -170,8 +148,7 @@ func (o Options) desugarOpts() desugar.Options {
 type Stats = core.Stats
 
 // ErrCanceled is returned by Synthesize when Options.Cancel fired
-// before the loop converged (compare with errors.Is — cube and
-// model-checker cancellations unwrap to it too).
+// before the loop converged.
 var ErrCanceled = core.ErrCanceled
 
 // WarmStore is the cross-request warm-state cache behind Options.Warm:
@@ -216,8 +193,6 @@ func (s *Sketch) coreOpts() core.Options {
 		NoPOR:              s.opts.NoPOR,
 		NoSymmetry:         s.opts.NoSymmetry,
 		MCCompress:         s.opts.MCCompress,
-		NoPipeline:         s.opts.NoPipeline,
-		NoShareClauses:     s.opts.NoShareClauses,
 		Proof:              s.opts.Proof,
 		Cancel:             s.opts.Cancel,
 		Verbose:            s.opts.Verbose,
@@ -279,25 +254,12 @@ type Result struct {
 	// Certificate, under Options.Proof, is the verified DRAT
 	// certificate backing the run's final UNSAT verdict (candidate-
 	// space exhaustion, or the sequential verifier's final check). Nil
-	// when proof logging is off or no SAT verdict closed the run. For
-	// cube runs this is the MERGED whole-space certificate.
+	// when proof logging is off or no SAT verdict closed the run.
 	Certificate *drat.Certificate
-	// Cube reports the per-cube breakdown of a cube-and-conquer run
-	// (Options.Cubes > 1); nil otherwise.
-	Cube *cube.Result
 }
 
-// Synthesize runs CEGIS on a compiled sketch (cube-and-conquer when
-// Options.Cubes > 1).
+// Synthesize runs CEGIS on a compiled sketch.
 func (s *Sketch) Synthesize() (*Result, error) {
-	if s.opts.Cubes > 1 {
-		r, err := cube.Synthesize(s.sk, s.cubeOpts())
-		if err != nil {
-			return nil, err
-		}
-		return s.result(&Result{Resolved: r.Resolved, Candidate: r.Candidate, Stats: r.Stats,
-			Certificate: r.Certificate, Cube: r})
-	}
 	syn, err := core.New(s.sk, s.coreOpts())
 	if err != nil {
 		return nil, err
@@ -312,35 +274,6 @@ func (s *Sketch) Synthesize() (*Result, error) {
 		return nil, err
 	}
 	return s.result(&Result{Resolved: r.Resolved, Candidate: r.Candidate, Stats: r.Stats, Certificate: r.Certificate})
-}
-
-// cubeOpts derives the cube coordinator options: proof moves from the
-// per-cube engines to the coordinator's merged recorder, and the
-// requested parallelism is divided among the cubes.
-func (s *Sketch) cubeOpts() cube.Options {
-	copts := s.coreOpts()
-	copts.Proof = false
-	// Cube engines race concurrently and are owned by internal/cube, so
-	// none of them can hold the sketch's exclusive warm context.
-	copts.Warm, copts.WarmKey = nil, ""
-	total := copts.Parallelism
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	cubes := 2
-	for cubes*2 <= s.opts.Cubes {
-		cubes *= 2
-	}
-	copts.Parallelism = total / cubes
-	if copts.Parallelism < 1 {
-		copts.Parallelism = 1
-	}
-	return cube.Options{
-		Cubes:   s.opts.Cubes,
-		Workers: s.opts.CubeWorkers,
-		Proof:   s.opts.Proof,
-		Core:    copts,
-	}
 }
 
 // result completes an engine outcome: a resolved one gets its
@@ -436,39 +369,14 @@ func DetectTarget(src string) (string, error) {
 // verified completions of the sketch — the §8.3.1 autotuning hook:
 // synthesize many candidates, then pick the best by measurement (Emit,
 // then RankEmitted). Each verified candidate is blocked and the space
-// re-solved until UNSAT or the bound. Under Options.Cubes > 1 each
-// re-solve is its own cube-and-conquer run with the found candidates
-// pre-blocked (blocking clauses are whole-space facts, so they stay
-// sound under cube assumptions): the returned candidate set is
-// invariant under parallelism and cube settings, only its order may
-// differ.
+// re-solved until UNSAT or the bound: the returned candidate set is
+// invariant under parallelism, only its order may differ.
 func (s *Sketch) Enumerate() ([]*Result, error) {
 	max := s.opts.MaxSolutions
 	if max <= 0 {
 		max = 8
 	}
 	var out []*Result
-	if s.opts.Cubes > 1 {
-		var blocked []Candidate
-		for len(out) < max {
-			co := s.cubeOpts()
-			co.Core.Block = append([]Candidate(nil), blocked...)
-			r, err := cube.Synthesize(s.sk, co)
-			if err != nil {
-				return nil, err
-			}
-			if !r.Resolved {
-				break
-			}
-			res, err := s.result(&Result{Resolved: true, Candidate: r.Candidate, Stats: r.Stats, Cube: r})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res)
-			blocked = append(blocked, r.Candidate)
-		}
-		return out, nil
-	}
 	syn, err := core.New(s.sk, s.coreOpts())
 	if err != nil {
 		return nil, err
