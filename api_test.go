@@ -72,6 +72,32 @@ harness void M() {
 	if ok || !strings.Contains(cex, "assertion") {
 		t.Fatalf("racy candidate: ok=%v cex=%q", ok, cex)
 	}
+
+	// Candidates that do not fit the holes are errors, not clamped or
+	// truncated into a different candidate that verifies.
+	hole, err := Compile(`
+int g = 0;
+harness void M() {
+	fork (i; 2) { g = ??; }
+	assert g == 9;
+}
+`, "M", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sk   *Sketch
+		cand Candidate
+		want string
+	}{
+		{hole, Candidate{9}, "hole 0 ?? is outside [0, 8)"},
+		{sk, Candidate{2}, "hole 0 {|true | false|} is outside [0, 2)"},
+		{hole, Candidate{1, 5}, "2 values but the sketch's hole count is 1"},
+	} {
+		if ok, _, err := c.sk.ModelCheck(c.cand); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ModelCheck(%v): ok=%v err=%v, want an error containing %q", c.cand, ok, err, c.want)
+		}
+	}
 }
 
 func TestCompileErrors(t *testing.T) {

@@ -35,9 +35,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 30*time.Minute, "per-test synthesis timeout")
 		verbose    = flag.Bool("v", false, "per-iteration progress")
 		par        = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (use 1 for deterministic paper-comparable runs)")
-		noPOR      = flag.Bool("nopor", false, "disable the verifier's partial-order reduction (ablation)")
-		noSym      = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction (ablation)")
-		compress   = flag.String("compress", "", "verifier visited-set representation: collapse (exact, component-interned; forces sequential verification)")
 		proof      = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
 		jsonOut    = flag.String("json", "", "write the measured Figure 9 rows to this file as JSON")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -147,8 +144,7 @@ func main() {
 	}
 	opts := bench.Options{
 		Filter: *filter, Timeout: *timeout, IncludeExtras: *extras,
-		TracesPerIteration: *traces, Parallelism: *par, NoPOR: *noPOR,
-		NoSymmetry: *noSym, MCCompress: *compress, Proof: *proof,
+		TracesPerIteration: *traces, Parallelism: *par, Proof: *proof,
 		RankEmitted: *rankEmit,
 		Trace:       tr, Metrics: met, HeapSampleEvery: *heapSample,
 	}

@@ -33,8 +33,6 @@ func main() {
 		showCount = flag.Bool("count", false, "print |C| and exit")
 		traces    = flag.Int("traces", 1, "counterexample traces per CEGIS iteration")
 		par       = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (1 = deterministic)")
-		noSym     = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction")
-		compress  = flag.String("compress", "", "verifier visited-set representation: collapse (exact, component-interned; forces sequential search)")
 		proof     = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
 		journal   = flag.String("journal", "", "write a structured run journal (JSONL) to this file; inspect with psktrace")
 		debugAddr = flag.String("debug-addr", "", "serve live /metrics and /debug/pprof on this address")
@@ -105,8 +103,6 @@ func main() {
 		TracesPerIteration: *traces,
 		MaxSolutions:       *maxSol,
 		Parallelism:        *par,
-		NoSymmetry:         *noSym,
-		MCCompress:         *compress,
 		Proof:              *proof,
 		Trace:              tr,
 		Metrics:            met,

@@ -4,8 +4,10 @@
 //
 //	pskmc -cand 0,1,3 file.psk
 //
-// With no -cand every hole is 0. Exit status is 0 for a verified
-// candidate and 2 with a counterexample trace otherwise.
+// With no -cand every hole is 0, and a shorter -cand is zero-padded.
+// Exit status is 0 for a verified candidate, 2 with a counterexample
+// trace, and 1 on an error, such as a -cand with more values than the
+// sketch has holes or a value outside its hole's range.
 package main
 
 import (
@@ -31,9 +33,6 @@ func main() {
 		loopBound  = flag.Int("loopbound", 4, "while-loop unroll bound")
 		maxStates  = flag.Int("maxstates", 0, "state budget (0 = default)")
 		par        = flag.Int("j", runtime.GOMAXPROCS(0), "search parallelism (1 = deterministic DFS)")
-		noPOR      = flag.Bool("nopor", false, "disable the partial-order reduction (soundness cross-checks)")
-		noSym      = flag.Bool("nosym", false, "disable the thread-symmetry reduction")
-		compress   = flag.String("compress", "", "visited-set representation: collapse (exact, component-interned; forces sequential search)")
 		timeout    = flag.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -126,26 +125,22 @@ func main() {
 	}
 	sk, err := psketch.Compile(string(src), tgt, psketch.Options{
 		IntWidth: *intWidth, LoopBound: *loopBound, MCMaxStates: *maxStates,
-		Parallelism: *par, NoPOR: *noPOR, NoSymmetry: *noSym, MCCompress: *compress, Cancel: &cancel,
+		Parallelism: *par, Cancel: &cancel,
 		Trace: tr, Metrics: met,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
-	cand := make(psketch.Candidate, sk.Holes())
+	var cand psketch.Candidate
 	if *candFlag != "" {
-		parts := strings.Split(*candFlag, ",")
-		for i, p := range parts {
-			if i >= len(cand) {
-				break
-			}
+		for _, p := range strings.Split(*candFlag, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "bad -cand:", err)
 				exit(1)
 			}
-			cand[i] = v
+			cand = append(cand, v)
 		}
 	}
 	ok, cex, err := sk.ModelCheck(cand)

@@ -35,11 +35,8 @@ type Row struct {
 	MemMiB      float64
 	MCStates    int
 	MCTrans     int
-	// State-space-reduction columns: symmetry classes on the most
-	// symmetric candidate, orbit-representative visited-set hits, and
-	// the peak visited-set footprint of any single check.
-	MCSymClasses   int
-	MCOrbitHits    int64
+	// MCVisitedBytes is the peak visited-set footprint of any single
+	// check.
 	MCVisitedBytes uint64
 	SATVars        int
 	SATClauses     int
@@ -89,15 +86,6 @@ type Options struct {
 	// deterministic engine whose numbers the paper comparison is
 	// calibrated against).
 	Parallelism int
-	// NoPOR disables the verifier's partial-order reduction (ablation
-	// runs; the reduction is on by default).
-	NoPOR bool
-	// NoSymmetry disables the verifier's thread-symmetry reduction
-	// (ablation; on by default).
-	NoSymmetry bool
-	// MCCompress selects the verifier's visited-set representation
-	// ("" or "collapse"; "collapse" forces the verifier sequential).
-	MCCompress string
 	// Proof replays every committed UNSAT verdict through the DRAT
 	// backward checker (overhead measurement; off by default).
 	Proof bool
@@ -171,9 +159,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 		Verbose:            opts.Verbose,
 		TracesPerIteration: opts.TracesPerIteration,
 		Parallelism:        opts.Parallelism,
-		NoPOR:              opts.NoPOR,
-		NoSymmetry:         opts.NoSymmetry,
-		MCCompress:         opts.MCCompress,
 		Proof:              opts.Proof,
 		Cancel:             &cancel,
 		Trace:              opts.Trace,
@@ -229,8 +214,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 	row.MemMiB = float64(res.Stats.MaxHeap) / (1 << 20)
 	row.MCStates = res.Stats.MCStates
 	row.MCTrans = res.Stats.MCTrans
-	row.MCSymClasses = res.Stats.MCSymClasses
-	row.MCOrbitHits = res.Stats.MCOrbitHits
 	row.MCVisitedBytes = res.Stats.MCVisitedBytes
 	row.SATVars = res.Stats.SATVars
 	row.SATClauses = res.Stats.SATClauses

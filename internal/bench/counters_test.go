@@ -26,7 +26,7 @@ const countersFile = "testdata/fig9_counters.txt"
 var counterColumns = []string{
 	"verdict", "iters", "log10C",
 	"conflicts", "decisions", "propagations", "vars", "clauses",
-	"states", "trans", "sym_classes", "orbit_hits", "visited_bytes",
+	"states", "trans", "visited_bytes",
 	"proj_hits", "proj_misses", "proj_saved",
 	"drat_lemmas", "drat_checked",
 }
@@ -90,8 +90,7 @@ func rowCounters(t *testing.T, b *sketches.Benchmark, test string) []string {
 		yesno(row.Resolved), strconv.Itoa(row.Itns), strconv.FormatFloat(row.LogC, 'f', 3, 64),
 		fmt.Sprint(row.SATConfl), fmt.Sprint(sw.decisions), fmt.Sprint(sw.propagations),
 		fmt.Sprint(row.SATVars), fmt.Sprint(row.SATClauses),
-		fmt.Sprint(row.MCStates), fmt.Sprint(row.MCTrans), fmt.Sprint(row.MCSymClasses),
-		fmt.Sprint(row.MCOrbitHits), fmt.Sprint(row.MCVisitedBytes),
+		fmt.Sprint(row.MCStates), fmt.Sprint(row.MCTrans), fmt.Sprint(row.MCVisitedBytes),
 		fmt.Sprint(row.ProjHits), fmt.Sprint(row.ProjMisses), fmt.Sprint(row.ProjSaved),
 		fmt.Sprint(row.ProofLemmas), fmt.Sprint(row.ProofChecked),
 	}

@@ -29,8 +29,6 @@ type jsonRow struct {
 
 	MCStates       int    `json:"mc_states"`
 	MCTrans        int    `json:"mc_trans"`
-	MCSymClasses   int    `json:"mc_sym_classes"`
-	MCOrbitHits    int64  `json:"mc_orbit_hits"`
 	MCVisitedBytes uint64 `json:"mc_visited_bytes"`
 	SATVars        int    `json:"sat_vars"`
 	SATClauses     int    `json:"sat_clauses"`
@@ -59,13 +57,10 @@ type jsonRow struct {
 // jsonOptions is the engine + host configuration header of a report.
 // A benchmark number is only comparable against another run under the
 // same configuration, so everything that shapes the measurement is
-// recorded here: engine knobs (parallelism, POR, proof replay, verifier
+// recorded here: engine knobs (parallelism, proof replay, verifier
 // budget) and the host the run was taken on.
 type jsonOptions struct {
 	Parallelism        int    `json:"parallelism"`
-	POR                bool   `json:"por"`
-	Symmetry           bool   `json:"symmetry"`
-	MCCompress         string `json:"mc_compress,omitempty"`
 	TracesPerIteration int    `json:"traces_per_iteration"`
 	TimeoutMS          int64  `json:"timeout_ms"`
 	Filter             string `json:"filter,omitempty"`
@@ -73,8 +68,8 @@ type jsonOptions struct {
 	MCMaxStates int  `json:"mc_max_states,omitempty"`
 	Proof       bool `json:"proof,omitempty"`
 	// Throughput numbers are only comparable between runs that measured
-	// the same way, so the emit/rank knob is recorded like the
-	// reduction knobs.
+	// the same way, so the emit/rank knob is recorded like the other
+	// engine knobs.
 	RankEmitted bool   `json:"rank_emitted,omitempty"`
 	GoVersion   string `json:"go_version,omitempty"`
 	GOOS        string `json:"goos,omitempty"`
@@ -96,9 +91,6 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func WriteJSON(path string, rows []Row, opts Options) error {
 	var rep jsonReport
 	rep.Options.Parallelism = opts.Parallelism
-	rep.Options.POR = !opts.NoPOR
-	rep.Options.Symmetry = !opts.NoSymmetry
-	rep.Options.MCCompress = opts.MCCompress
 	rep.Options.TracesPerIteration = opts.TracesPerIteration
 	rep.Options.TimeoutMS = opts.Timeout.Milliseconds()
 	rep.Options.Filter = opts.Filter
@@ -117,8 +109,7 @@ func WriteJSON(path string, rows []Row, opts Options) error {
 			Iterations: r.Itns, LogC: r.LogC,
 			TotalMS: ms(r.Total), SSolveMS: ms(r.SSolve), SModelMS: ms(r.SModel),
 			VSolveMS: ms(r.VSolve), VModelMS: ms(r.VModel), MemMiB: r.MemMiB,
-			MCStates: r.MCStates, MCTrans: r.MCTrans,
-			MCSymClasses: r.MCSymClasses, MCOrbitHits: r.MCOrbitHits, MCVisitedBytes: r.MCVisitedBytes,
+			MCStates: r.MCStates, MCTrans: r.MCTrans, MCVisitedBytes: r.MCVisitedBytes,
 			SATVars: r.SATVars, SATClauses: r.SATClauses, SATConfl: r.SATConfl,
 			Parallelism: r.Parallelism, SATWorkers: r.SATWorkers, MCWorkerStates: r.MCWorkerStates,
 			SATExported: r.SATExported, SATImported: r.SATImported,

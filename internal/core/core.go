@@ -59,17 +59,6 @@ type Options struct {
 	// (default runtime.GOMAXPROCS(0)). 1 runs the fully deterministic
 	// sequential engine.
 	Parallelism int
-	// NoPOR disables the model checker's footprint-based partial-order
-	// reduction (soundness cross-checks and measurement; the reduction
-	// is on by default).
-	NoPOR bool
-	// NoSymmetry disables the model checker's thread-symmetry (orbit)
-	// reduction (on by default; see mc.Options.NoSymmetry).
-	NoSymmetry bool
-	// MCCompress selects the model checker's visited-set representation:
-	// "" (exact fingerprint table) or "collapse", which forces the
-	// verifier sequential (see mc.Options.Compress).
-	MCCompress string
 	// Proof enables DRAT proof logging in the SAT backends (solver or
 	// portfolio, shared-clause pool included) and replays every UNSAT
 	// verdict the loop commits to — candidate-space exhaustion and the
@@ -163,15 +152,10 @@ type Stats struct {
 	SATConfl   int64
 	MCStates   int
 	MCTrans    int // transitions the model checker executed
-	// MCSymClasses is the largest number of thread-symmetry classes any
-	// verified candidate exhibited; MCOrbitHits totals visited-set hits
-	// that needed a non-identity orbit representative; MCVisitedBytes is
-	// the peak estimated visited-set footprint of any single check.
-	// Unlike the fields above, these three are per-run (tracked on the
-	// synthesizer, not read back from the registry, whose counters of
-	// the same names accumulate across runs sharing one Metrics).
-	MCSymClasses   int
-	MCOrbitHits    int64
+	// MCVisitedBytes is the peak estimated visited-set footprint of any
+	// single check. Unlike the fields above, it is per-run (tracked on
+	// the synthesizer, not read back from the registry, whose counter of
+	// the same name accumulates across runs sharing one Metrics).
 	MCVisitedBytes uint64
 	MaxHeap        uint64 // peak observed heap, bytes
 	// Parallelism is the worker count both phases ran at; the
@@ -284,13 +268,11 @@ type Synthesizer struct {
 	// totals.
 	mcWorkerStates []int
 	satWorkers     []sat.WorkerStats
-	// Per-run reduction stats. The registry counters with the same
-	// names are process-wide (a shared Options.Metrics accumulates
-	// across runs, which is what a live /metrics endpoint wants); these
-	// fields are this synthesizer's own maxima/totals so Stats and
-	// bench rows stay per-run even in a multi-benchmark sweep.
-	runSymClasses   int
-	runOrbitHits    int64
+	// Per-run visited-set peak. The registry counter with the same name
+	// is process-wide (a shared Options.Metrics accumulates across runs,
+	// which is what a live /metrics endpoint wants); this field is this
+	// synthesizer's own maximum so Stats and bench rows stay per-run
+	// even in a multi-benchmark sweep.
 	runVisitedBytes uint64
 	// Per-run SAT exchange/conflict stats, same pattern: the solver
 	// backend counts lifetime totals (Enumerate reuses it across runs),
@@ -312,7 +294,6 @@ type counters struct {
 	iterations, totalNS                    *obs.Counter
 	ssolveNS, smodelNS, vsolveNS, vmodelNS *obs.Counter
 	mcStates, mcTrans                      *obs.Counter
-	mcSymClasses, mcOrbitHits              *obs.Counter
 	mcVisitedBytes                         *obs.Counter
 	heapMax                                *obs.Counter
 	satVars, satClauses, satConfl          *obs.Counter
@@ -324,16 +305,14 @@ type counters struct {
 
 func newCounters(m *obs.Metrics) counters {
 	return counters{
-		iterations:   m.Counter("cegis.iterations"),
-		totalNS:      m.Counter("cegis.total_ns"),
-		ssolveNS:     m.Counter(obs.PhaseCounter(obs.PhaseSSolve)),
-		smodelNS:     m.Counter(obs.PhaseCounter(obs.PhaseSModel)),
-		vsolveNS:     m.Counter(obs.PhaseCounter(obs.PhaseVSolve)),
-		vmodelNS:     m.Counter(obs.PhaseCounter(obs.PhaseVModel)),
-		mcStates:     m.Counter("mc.states"),
-		mcTrans:      m.Counter("mc.trans"),
-		mcSymClasses: m.Counter("mc.sym_classes"),
-		mcOrbitHits:  m.Counter("mc.orbit_hits"),
+		iterations: m.Counter("cegis.iterations"),
+		totalNS:    m.Counter("cegis.total_ns"),
+		ssolveNS:   m.Counter(obs.PhaseCounter(obs.PhaseSSolve)),
+		smodelNS:   m.Counter(obs.PhaseCounter(obs.PhaseSModel)),
+		vsolveNS:   m.Counter(obs.PhaseCounter(obs.PhaseVSolve)),
+		vmodelNS:   m.Counter(obs.PhaseCounter(obs.PhaseVModel)),
+		mcStates:   m.Counter("mc.states"),
+		mcTrans:    m.Counter("mc.trans"),
 		// high-water mark across iterations, not a running sum
 		mcVisitedBytes: m.Counter("mc.visited_bytes"),
 		heapMax:        m.Counter("heap.max_bytes"),
@@ -381,8 +360,6 @@ func (s *Synthesizer) statsView() Stats {
 	st.ProjMisses = s.runProjMisses
 	st.ProjSaved = s.runProjSaved
 	st.WarmStart = s.warmStart
-	st.MCSymClasses = s.runSymClasses
-	st.MCOrbitHits = s.runOrbitHits
 	st.MCVisitedBytes = s.runVisitedBytes
 	st.MCWorkerStates = append([]int(nil), s.mcWorkerStates...)
 	st.SATWorkers = append([]sat.WorkerStats(nil), s.satWorkers...)
@@ -775,9 +752,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 			MaxStates:   s.opts.MCMaxStates,
 			MaxTraces:   s.opts.TracesPerIteration,
 			Parallelism: s.opts.Parallelism,
-			NoPOR:       s.opts.NoPOR,
-			NoSymmetry:  s.opts.NoSymmetry,
-			Compress:    s.opts.MCCompress,
 			Cancel:      s.opts.Cancel,
 			Tracer:      s.tr,
 			ParentSpan:  vsp.ID(),
@@ -796,13 +770,7 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		}
 		s.ct.mcStates.Add(int64(mres.States))
 		s.ct.mcTrans.Add(int64(mres.Trans))
-		s.ct.mcSymClasses.Max(int64(mres.SymClasses))
-		s.ct.mcOrbitHits.Add(mres.OrbitHits)
 		s.ct.mcVisitedBytes.Max(int64(mres.VisitedBytes))
-		if mres.SymClasses > s.runSymClasses {
-			s.runSymClasses = mres.SymClasses
-		}
-		s.runOrbitHits += mres.OrbitHits
 		if mres.VisitedBytes > s.runVisitedBytes {
 			s.runVisitedBytes = mres.VisitedBytes
 		}

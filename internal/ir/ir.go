@@ -9,13 +9,9 @@
 // the projection of a counterexample trace is a reordering of the same
 // step instances.
 //
-// Besides lowering, the package hosts the static analyses the model
-// checker's reductions are built on: per-step shared read/write
-// footprints (Footprints) feeding the partial-order reduction, and
-// candidate-conditional thread-symmetry detection (Symmetry), which
-// proves groups of forked threads permutation-equivalent under a
-// concrete candidate and hands internal/mc the generators of the
-// induced state-space automorphisms.
+// Besides lowering, the package hosts the static analysis the model
+// checker's partial-order reduction is built on: per-step shared
+// read/write footprints (Footprints).
 package ir
 
 import (

@@ -133,21 +133,3 @@ func localIndex(seq *Seq, name string) int {
 	}
 	return seq.Local(name)
 }
-
-// localOf returns the index of the local a resolved identifier names,
-// or -1.
-func localOf(id *ast.Ident) int {
-	if id.Slot > 0 {
-		return int(id.Slot - 1)
-	}
-	return -1
-}
-
-// globalOf returns the index of the global a resolved identifier
-// names, or -1.
-func globalOf(id *ast.Ident) int {
-	if id.Slot < 0 {
-		return int(-id.Slot - 1)
-	}
-	return -1
-}

@@ -67,9 +67,8 @@ func appendCells(b []byte, cells []int32) []byte {
 	return b
 }
 
-// slot finds or inserts the state (which must already be canonical if
-// symmetry is on), returning its bookkeeping entry and whether it was
-// inserted now. Entries are stable pointers.
+// slot finds or inserts the state, returning its bookkeeping entry and
+// whether it was inserted now. Entries are stable pointers.
 func (c *collapseTab) slot(st *state.State) (*colEntry, bool) {
 	c.key = c.key[:0]
 	c.frag = appendCells(c.frag[:0], st.Cells[:c.sharedEnd])

@@ -15,10 +15,7 @@ import (
 // the POR footprints, which over-approximate soundly: XORing an
 // unchanged cell out and back in cancels) and thread t's local block,
 // so the successor's hash is the parent's hash XOR a small delta
-// instead of a full-vector rehash. It is also what makes symmetry
-// canonicalization affordable: applying a thread permutation changes
-// only the moved cells' contributions, so the orbit-minimal key is a
-// min over per-element deltas (see symmetry.go).
+// instead of a full-vector rehash.
 
 // Two fixed seeds give two independent streams; a collision must happen
 // in both simultaneously (hash compaction, as in SPIN).

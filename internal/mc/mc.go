@@ -4,7 +4,7 @@
 // assertions, memory safety, deadlock freedom, and bounded termination,
 // and produces a counterexample trace on failure (§6).
 //
-// Four sound reductions keep the state space tractable:
+// Three sound reductions keep the state space tractable:
 //
 //   - steps whose guards are false are skipped without a scheduling
 //     point (they are not executed at all);
@@ -16,28 +16,16 @@
 //     shared cells each step reads and writes (internal/ir), and the
 //     search expands only a persistent subset of the enabled threads at
 //     each state, carrying sleep sets down the DFS to skip commuting
-//     interleavings it has already covered (disable with NoPOR);
-//   - a thread-symmetry (orbit) reduction: ir.Symmetry detects groups
-//     of threads the candidate treats identically (same code, rotatable
-//     locals, interchangeable heap roles), and every visited-set lookup
-//     uses the minimum fingerprint over the state's orbit under the
-//     induced automorphism group, so permutation-equivalent states are
-//     expanded once (disable with NoSymmetry; candidates whose policy
-//     breaks the symmetry get no classes and pay nothing).
+//     interleavings it has already covered (disable with NoPOR).
 //
-// "Visited" therefore means: this state's canonical orbit
-// representative was already expanded under some persistent set that is
-// valid for the whole orbit — stored per-state masks live in the
-// canonical frame and are translated through the automorphism at every
-// lookup, which is what makes the symmetry reduction compose soundly
-// with the POR's persistent/sleep sets. The visited table also records,
-// per canonical state, which transitions were already explored, so
-// revisits through other paths only do new work. States are fingerprinted
-// with an incrementally maintained Zobrist hash (updated from each
-// step's touched footprint, not recomputed), and Options.Compress can
-// swap the fingerprint table for a SPIN-style collapse-compressed exact
-// table; see ARCHITECTURE.md's state-space reduction stack section for
-// how the pieces interact.
+// The visited table records, per state, its persistent set and which
+// of its transitions were already explored, so revisits through other
+// paths only do new work. States are fingerprinted with an
+// incrementally maintained Zobrist hash (updated from each step's
+// touched footprint, not recomputed), and Options.Compress can swap the
+// fingerprint table for a SPIN-style collapse-compressed exact table;
+// see ARCHITECTURE.md's state-space reduction stack section for how the
+// pieces interact.
 //
 // # Concurrency contract
 //
@@ -129,11 +117,6 @@ type Options struct {
 	// (persistent sets + sleep sets), used to cross-check its soundness
 	// in tests and to measure its effect.
 	NoPOR bool
-	// NoSymmetry disables the thread-symmetry reduction (orbit
-	// canonicalization of visited-set lookups), used to cross-check its
-	// soundness in tests and to measure its effect. Symmetry is also
-	// off whenever a Hook is set.
-	NoSymmetry bool
 	// Compress selects the visited-set representation: "" (default)
 	// is the exact open-addressed fingerprint table, and "collapse"
 	// interns state components SPIN-style and keys on id tuples (exact,
@@ -177,12 +160,6 @@ type Result struct {
 	// sequential DFS); WorkerStates counts the states each expanded.
 	Workers      int
 	WorkerStates []int
-	// SymClasses is the number of thread-symmetry classes the search
-	// canonicalized under (0 = candidate asymmetric or reduction off);
-	// OrbitHits counts visited-set hits reached through a non-identity
-	// orbit representative.
-	SymClasses int
-	OrbitHits  int64
 	// VisitedBytes estimates the peak memory held by the visited set.
 	VisitedBytes uint64
 }
@@ -227,16 +204,6 @@ func Check(l *state.Layout, cand desugar.Candidate, opts Options) (*Result, erro
 		}
 	}
 
-	// Thread-symmetry reduction: detect permutation-equivalent thread
-	// rings for this candidate and validate them against the layout and
-	// the post-prologue heap. A Hook observes the raw schedule space,
-	// so canonicalization is off under one.
-	if !opts.NoSymmetry && opts.Hook == nil {
-		if classes := ir.Symmetry(p, cand); len(classes) > 0 {
-			m.sym = buildSym(l, classes, m.pt, st)
-		}
-	}
-
 	if opts.Parallelism > 1 && opts.Hook == nil && opts.Compress == "" {
 		res, err := m.checkParallel(st)
 		m.finishResult(res)
@@ -258,16 +225,11 @@ func Check(l *state.Layout, cand desugar.Candidate, opts Options) (*Result, erro
 	return res, nil
 }
 
-// finishResult fills the reduction/memory fields shared by both search
-// modes.
+// finishResult fills the memory estimate shared by both search modes.
 func (m *checker) finishResult(res *Result) {
 	if res == nil {
 		return
 	}
-	if m.sym != nil {
-		res.SymClasses = m.sym.classes
-	}
-	res.OrbitHits = m.orbitHits
 	switch {
 	case m.col != nil:
 		res.VisitedBytes = m.col.bytes()
@@ -301,8 +263,6 @@ func (m *checker) endSpan(res *Result, err error) {
 		obs.Int("workers", int64(res.Workers)),
 		obs.Int("por_pruned", m.porPruned),
 		obs.Int("sleep_skips", m.sleepSkips),
-		obs.Int("sym_classes", int64(res.SymClasses)),
-		obs.Int("orbit_hits", res.OrbitHits),
 		obs.Int("visited_bytes", int64(res.VisitedBytes)))
 }
 
@@ -315,7 +275,6 @@ type checker struct {
 	por bool
 	pt  *porTables // footprints for the fixed candidate (read-only)
 	hz  *hasher    // incremental Zobrist hashing (read-only)
-	sym *symAuto   // thread-symmetry group, nil if none (read-only)
 
 	// Exactly one visited backend is set (Options.Compress); the
 	// parallel search uses its striped set instead (pvisited, kept for
@@ -327,12 +286,6 @@ type checker struct {
 	states int
 	trans  int
 	traces []*Trace
-
-	// orbitHits counts visited-set hits reached through a non-identity
-	// orbit representative; symScratch materializes canonical states
-	// for the collapse backend.
-	orbitHits  int64
-	symScratch *state.State
 
 	// POR effectiveness counters (plain int adds on the hot path, no
 	// allocation): transitions dropped by the persistent-set choice, and
@@ -497,19 +450,6 @@ func (m *checker) dfsChild(st *state.State, t int, sleep uint64, path *[]Event, 
 	return m.expand(st, sleep, path, h1^b1^a1, h2^b2^a2)
 }
 
-// canonState materializes the canonical orbit representative (st
-// itself under the identity).
-func (m *checker) canonState(st *state.State, act *symElem) *state.State {
-	if act == nil {
-		return st
-	}
-	if m.symScratch == nil {
-		m.symScratch = st.Clone()
-	}
-	m.sym.applyAct(m.symScratch, st, act)
-	return m.symScratch
-}
-
 // done reports whether the trace budget is met.
 func (m *checker) done() bool {
 	return len(m.traces) >= m.opts.MaxTraces
@@ -529,30 +469,16 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 			panic("mc: incremental fingerprint diverged from full rehash")
 		}
 	}
-	// Orbit canonicalization: look up under the minimal fingerprint
-	// over the state's symmetry orbit; act is the element that reaches
-	// it (nil for the identity).
-	ch1, ch2 := h1, h2
-	var act *symElem
-	if m.sym != nil {
-		ch1, ch2, act = m.sym.canonKey(st, h1, h2)
-	}
-
 	// Visited lookup through the selected backend.
 	var idx int
 	var ce *colEntry
 	var fresh bool
 	if m.col != nil {
-		ce, fresh = m.col.slot(m.canonState(st, act))
+		ce, fresh = m.col.slot(st)
 	} else {
-		idx, fresh = m.tab.slot(key16(ch1, ch2))
-	}
-	if !fresh && act != nil {
-		m.orbitHits++
+		idx, fresh = m.tab.slot(key16(h1, h2))
 	}
 
-	var pmaskLocal uint64
-	haveWork := false
 	if fresh {
 		m.states++
 		if m.states > m.opts.MaxStates {
@@ -576,50 +502,42 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 			dtr.Deadlocked = blocked
 			m.record(dtr)
 		default:
-			pmaskLocal = enabled
+			pmask := enabled
 			if m.por {
-				pmaskLocal = m.pt.persistentSet(st, enabled, unfin)
-				m.porPruned += int64(bits.OnesCount64(enabled &^ pmaskLocal))
+				pmask = m.pt.persistentSet(st, enabled, unfin)
+				m.porPruned += int64(bits.OnesCount64(enabled &^ pmask))
 			}
-			haveWork = true
+			if ce != nil {
+				ce.pm = pmaskKnown | pmask
+			} else {
+				m.tab.pm[idx] = pmaskKnown | pmask
+			}
 		}
 	}
-	// Stored masks live in the canonical frame: translate local masks
-	// in with act's thread map, translate the claimed work back out.
-	if fresh && haveWork {
-		pmw := pmaskKnown | symFwd(pmaskLocal, act)
-		if ce != nil {
-			ce.pm = pmw
-		} else {
-			m.tab.pm[idx] = pmw
-		}
-	}
-	var pmw, doneC uint64
+	var pmw, done uint64
 	if ce != nil {
-		pmw, doneC = ce.pm, ce.done
+		pmw, done = ce.pm, ce.done
 	} else {
-		pmw, doneC = m.tab.pm[idx], m.tab.done[idx]
+		pmw, done = m.tab.pm[idx], m.tab.done[idx]
 	}
-	pmaskC := pmw &^ pmaskKnown
-	sleepC := symFwd(sleep, act)
-	availC := pmaskC &^ doneC
-	m.sleepSkips += int64(bits.OnesCount64(availC & sleepC))
-	todoC := availC &^ sleepC
-	if todoC == 0 {
+	avail := (pmw &^ pmaskKnown) &^ done
+	m.sleepSkips += int64(bits.OnesCount64(avail & sleep))
+	todo := avail &^ sleep
+	if todo == 0 {
 		return nil
 	}
 	// Claim now: the fingerprint table's index is invalidated by
 	// insertions below (collapse entries are stable pointers).
 	if ce != nil {
-		ce.done |= todoC
+		ce.done |= todo
 	} else {
-		m.tab.done[idx] |= todoC
+		m.tab.done[idx] |= todo
 	}
-	return m.exploreTodo(st, symInv(todoC, act), sleep, path, h1, h2)
+	return m.exploreTodo(st, todo, sleep, path, h1, h2)
 }
 
-// exploreTodo executes each claimed transition (todo, in the local
-// thread frame) and recurses; h1, h2 fingerprint st.
+// exploreTodo executes each claimed transition (todo) and recurses;
+// h1, h2 fingerprint st.
 func (m *checker) exploreTodo(st *state.State, todo, sleep uint64, path *[]Event, h1, h2 uint64) error {
 	single := todo&(todo-1) == 0
 	explored := uint64(0)

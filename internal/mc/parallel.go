@@ -147,18 +147,9 @@ func (w *pworker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 			panic("mc: incremental fingerprint diverged from full rehash")
 		}
 	}
-	ch1, ch2 := h1, h2
-	var act *symElem
-	if w.sym != nil {
-		ch1, ch2, act = w.sym.canonKey(st, h1, h2)
-	}
-	k := key16(ch1, ch2)
-	sleepC := symFwd(sleep, act)
+	k := key16(h1, h2)
 	fresh, done, pmw := w.sh.visited.arrive(k)
-	if !fresh && act != nil {
-		w.orbitHits++
-	}
-	if !fresh && pmw&pmaskKnown != 0 && (pmw&^pmaskKnown)&^sleepC&^done == 0 {
+	if !fresh && pmw&pmaskKnown != 0 && (pmw&^pmaskKnown)&^sleep&^done == 0 {
 		return nil // nothing new to explore here
 	}
 	var pmask uint64
@@ -197,30 +188,27 @@ func (w *pworker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 				dtr.Deadlocked = blocked
 				w.sh.record(dtr)
 			default:
-				local := enabled
+				pmask = enabled
 				if w.por {
-					local = w.pt.persistentSet(st, enabled, unfin)
-					w.porPruned += int64(bits.OnesCount64(enabled &^ local))
+					pmask = w.pt.persistentSet(st, enabled, unfin)
+					w.porPruned += int64(bits.OnesCount64(enabled &^ pmask))
 				}
-				pmask = symFwd(local, act)
 			}
 		} else if tr == nil && unfinished > 0 && enabled != 0 {
 			// A racing revisit before the first arriver stored its
 			// mask: recompute and claim what we can (any valid
 			// persistent set is sound; claim keeps the first stored).
-			local := enabled
+			pmask = enabled
 			if w.por {
-				local = w.pt.persistentSet(st, enabled, unfin)
+				pmask = w.pt.persistentSet(st, enabled, unfin)
 			}
-			pmask = symFwd(local, act)
 		}
 	}
-	w.sleepSkips += int64(bits.OnesCount64(pmask & sleepC))
-	todoC := w.sh.visited.claim(k, pmaskKnown|pmask, pmask&^sleepC)
-	if todoC == 0 {
+	w.sleepSkips += int64(bits.OnesCount64(pmask & sleep))
+	todo := w.sh.visited.claim(k, pmaskKnown|pmask, pmask&^sleep)
+	if todo == 0 {
 		return nil
 	}
-	todo := symInv(todoC, act)
 	single := todo&(todo-1) == 0
 	explored := uint64(0)
 	for work := todo; work != 0; {
@@ -302,13 +290,7 @@ func (m *checker) checkParallel(st *state.State) (*Result, error) {
 		sh.record(m.failTrace(prefix, f, t))
 		return finish(0, nil), nil
 	}
-	rootH1, rootH2 := m.hz.full(st)
-	rch1, rch2 := rootH1, rootH2
-	var ract *symElem
-	if m.sym != nil {
-		rch1, rch2, ract = m.sym.canonKey(st, rootH1, rootH2)
-	}
-	rootKey := key16(rch1, rch2)
+	rootKey := key16(m.hz.full(st))
 	sh.visited.arrive(rootKey)
 	sh.states.Add(1)
 	unfinished, enabled, unfin, tr := m.statusMask(st)
@@ -335,7 +317,7 @@ func (m *checker) checkParallel(st *state.State) (*Result, error) {
 		pmask = m.pt.persistentSet(st, enabled, unfin)
 		m.porPruned += int64(bits.OnesCount64(enabled &^ pmask))
 	}
-	sh.visited.claim(rootKey, pmaskKnown|symFwd(pmask, ract), symFwd(pmask, ract))
+	sh.visited.claim(rootKey, pmaskKnown|pmask, pmask)
 
 	// One shard per member of the root persistent set, each seeded with
 	// the sleep set the sequential sibling order would give it.
@@ -380,7 +362,6 @@ func (m *checker) checkParallel(st *state.State) (*Result, error) {
 	perWorker := make([]int, workers)
 	perPruned := make([]int64, workers)
 	perSleep := make([]int64, workers)
-	perOrbit := make([]int64, workers)
 	if workers > 0 && !sh.cancel.Load() {
 		queue := make(chan shard, len(shards))
 		for _, s := range shards {
@@ -393,7 +374,7 @@ func (m *checker) checkParallel(st *state.State) (*Result, error) {
 			go func(id int) {
 				defer wg.Done()
 				wsp := m.opts.Tracer.Start("mc.worker", m.span.ID())
-				w := &pworker{checker: checker{l: m.l, p: m.p, cand: m.cand, opts: m.opts, por: m.por, pt: m.pt, hz: m.hz, sym: m.sym}, sh: sh}
+				w := &pworker{checker: checker{l: m.l, p: m.p, cand: m.cand, opts: m.opts, por: m.por, pt: m.pt, hz: m.hz}, sh: sh}
 				w.initEval()
 				for s := range queue {
 					if sh.cancel.Load() {
@@ -408,7 +389,6 @@ func (m *checker) checkParallel(st *state.State) (*Result, error) {
 				perWorker[id] = int(w.expanded)
 				perPruned[id] = w.porPruned
 				perSleep[id] = w.sleepSkips
-				perOrbit[id] = w.orbitHits
 				if wsp.Active() {
 					wsp.End(obs.Int("worker", int64(id)),
 						obs.Int("states", w.expanded),
@@ -424,7 +404,6 @@ func (m *checker) checkParallel(st *state.State) (*Result, error) {
 	for i := 0; i < workers; i++ {
 		m.porPruned += perPruned[i]
 		m.sleepSkips += perSleep[i]
-		m.orbitHits += perOrbit[i]
 	}
 	if sh.err != nil {
 		return nil, sh.err

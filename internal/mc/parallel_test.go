@@ -105,9 +105,7 @@ func TestParallelDeadlockTrace(t *testing.T) {
 func TestParallelStateBudget(t *testing.T) {
 	_, l, sk := lower(t, atomicSrc, desugar.Options{})
 	cand := make(desugar.Candidate, len(sk.Holes))
-	// NoSymmetry: the two threads are symmetric, and the orbit
-	// reduction would legitimately fit the space into the budget.
-	_, err := Check(l, cand, Options{Parallelism: 4, MaxStates: 3, NoSymmetry: true})
+	_, err := Check(l, cand, Options{Parallelism: 4, MaxStates: 3})
 	if err == nil {
 		t.Fatal("expected the shared state budget to trip")
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Two identical lock/unlock threads on one shared node: the smallest
-// program whose state graph is hand-computable under every reduction.
+// program whose unreduced state graph is hand-computable.
 const symPairSrc = `
 struct L { int v = 0; }
 L a;
@@ -21,7 +21,7 @@ harness void Main() {
 }
 `
 
-// Hand-computed regression for the orbit reduction. Writing a thread's
+// Hand-computed regression for the visited set. Writing a thread's
 // position as its PC (0 = before lock, 1 = holds the lock, 2 = done),
 // the unreduced graph is the 8-state diamond-with-tails
 //
@@ -29,33 +29,16 @@ harness void Main() {
 //	      -> (0,1) -> (0,2) -> (1,2) -> (2,2)
 //
 // (while one thread holds the lock the other is blocked, so each branch
-// is a chain). Swapping the two threads is an automorphism that pairs
-// (1,0)~(0,1), (2,0)~(0,2), (2,1)~(1,2) and fixes the root and the
-// final state, leaving exactly 5 orbits.
-func TestSymmetryPinnedCounts(t *testing.T) {
+// is a chain).
+func TestUnreducedPinnedCounts(t *testing.T) {
 	_, l, sk := lower(t, symPairSrc, desugar.Options{})
 	cand := make(desugar.Candidate, len(sk.Holes))
-
-	raw, err := Check(l, cand, Options{NoPOR: true, NoLocalFusion: true, NoSymmetry: true})
+	raw, err := Check(l, cand, Options{NoPOR: true, NoLocalFusion: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !raw.OK || raw.States != 8 {
 		t.Fatalf("unreduced search: ok=%v states=%d, want ok=true states=8", raw.OK, raw.States)
-	}
-	if raw.SymClasses != 0 {
-		t.Fatalf("NoSymmetry run reported %d symmetry classes", raw.SymClasses)
-	}
-
-	sym, err := Check(l, cand, Options{NoPOR: true, NoLocalFusion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sym.OK || sym.States != 5 {
-		t.Fatalf("orbit search: ok=%v states=%d, want ok=true states=5", sym.OK, sym.States)
-	}
-	if sym.SymClasses != 1 {
-		t.Fatalf("expected 1 symmetry class, got %d", sym.SymClasses)
 	}
 }
 
@@ -71,7 +54,6 @@ func TestCompressModesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range []Options{
-			{NoSymmetry: true},
 			{Compress: "collapse"},
 			{Compress: "collapse", NoPOR: true},
 			{Parallelism: 4},
@@ -95,7 +77,7 @@ func TestCompressModesAgree(t *testing.T) {
 }
 
 // Collapse compression is exact: on a verified program it must walk
-// exactly the same set of (canonical) states as the fingerprint table.
+// exactly the same set of states as the fingerprint table.
 func TestCollapseExactStates(t *testing.T) {
 	_, l, sk := lower(t, atomicSrc, desugar.Options{})
 	cand := make(desugar.Candidate, len(sk.Holes))

@@ -59,7 +59,6 @@ func (c *Counter) Get() int64 {
 var HighWaterCounters = map[string]bool{
 	"heap.max_bytes":   true,
 	"mc.visited_bytes": true,
-	"mc.sym_classes":   true,
 	"sat.vars":         true,
 	"sat.clauses":      true,
 }

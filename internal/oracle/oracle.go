@@ -2,9 +2,9 @@
 // the two components the whole reproduction depends on: the
 // interleaving verifier (internal/mc) and the candidate search
 // (internal/core). Both are written for obviousness, not speed — no
-// partial-order reduction, no local fusion, no thread-symmetry
-// canonicalization, no visited-set compression, no incremental
-// hashing, no sharding, no freelists, no incremental SAT — and exist
+// partial-order reduction, no local fusion, no visited-set
+// compression, no incremental hashing, no sharding, no freelists, no
+// incremental SAT — and exist
 // purely as differential oracles: the
 // optimized engines must agree with them on every verdict. The fuzz
 // targets (FuzzMCvsReference, FuzzProjection) and the differential
@@ -19,9 +19,9 @@
 // NoLocalFusion set. Every guard-true step, local or shared, is a
 // scheduling point here, and states are keyed on their full normalized
 // contents — so CheckExhaustive's States count equals the optimized
-// checker's exactly when (and only when) every mc reduction is off
-// (NoPOR, NoLocalFusion, NoSymmetry, no compression), which is what
-// the differential state-count tests pin.
+// checker's exactly when (and only when) both mc reductions, POR and
+// local fusion, are off, which is what the differential state-count
+// tests pin.
 package oracle
 
 import (

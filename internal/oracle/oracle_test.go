@@ -127,7 +127,7 @@ func TestStatesMatchUnreducedMC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mc.Check(l, nil, mc.Options{NoPOR: true, NoLocalFusion: true, NoSymmetry: true})
+		res, err := mc.Check(l, nil, mc.Options{NoPOR: true, NoLocalFusion: true})
 		if err != nil {
 			t.Fatal(err)
 		}

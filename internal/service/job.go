@@ -31,8 +31,7 @@ type SubmitRequest struct {
 
 // JobOptions is the per-job engine surface. Budget-shaped fields are
 // clamped to the server's caps (Config); zero values take the engine
-// defaults. Booleans are spelled as ablations (no_*) so the zero value
-// is the production configuration.
+// defaults.
 type JobOptions struct {
 	IntWidth      int  `json:"int_width,omitempty"`
 	HoleWidth     int  `json:"hole_width,omitempty"`
@@ -44,8 +43,6 @@ type JobOptions struct {
 	Traces        int  `json:"traces,omitempty"`
 	Parallelism   int  `json:"parallelism,omitempty"`
 	Proof         bool `json:"proof,omitempty"`
-	NoPOR         bool `json:"no_por,omitempty"`
-	NoSymmetry    bool `json:"no_symmetry,omitempty"`
 	// TimeoutMS bounds the job's wall clock; 0 takes (and any value is
 	// clamped to) the server's -job-timeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

@@ -186,8 +186,6 @@ func (s *Server) jobOptions(o JobOptions) (psketch.Options, time.Duration) {
 		TracesPerIteration: o.Traces,
 		Parallelism:        o.Parallelism,
 		Proof:              o.Proof,
-		NoPOR:              o.NoPOR,
-		NoSymmetry:         o.NoSymmetry,
 		Warm:               s.warm,
 	}
 	if o.Quadratic {

@@ -344,6 +344,8 @@ func TestServiceBadRequests(t *testing.T) {
 		{"not json", `hello`, http.StatusBadRequest},
 		// A valid sketch with an option the engine no longer has.
 		{"unknown option", `{"src":` + string(valid) + `,"options":{"no_pipeline":true}}`, http.StatusBadRequest},
+		{"unknown option no_por", `{"src":` + string(valid) + `,"options":{"no_por":true}}`, http.StatusBadRequest},
+		{"unknown option no_symmetry", `{"src":` + string(valid) + `,"options":{"no_symmetry":true}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))

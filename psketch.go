@@ -82,17 +82,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0)); 1 selects the fully deterministic
 	// sequential engine. See ARCHITECTURE.md.
 	Parallelism int
-	// NoPOR disables the model checker's footprint-based partial-order
-	// reduction (on by default; see ARCHITECTURE.md for the reduction
-	// knobs and their soundness cross-checks).
-	NoPOR bool
-	// NoSymmetry disables the model checker's thread-symmetry (orbit)
-	// reduction (on by default; see ARCHITECTURE.md).
-	NoSymmetry bool
-	// MCCompress selects the model checker's visited-set representation:
-	// "" (exact fingerprint table, the default) or "collapse" (exact,
-	// component-interned). "collapse" forces the verifier sequential.
-	MCCompress string
 	// Proof enables DRAT proof logging in the SAT backends and replays
 	// every committed UNSAT verdict through the internal/drat backward
 	// checker, so a "cannot be resolved" answer carries a verified
@@ -190,9 +179,6 @@ func (s *Sketch) coreOpts() core.Options {
 		MCMaxStates:        s.opts.MCMaxStates,
 		TracesPerIteration: s.opts.TracesPerIteration,
 		Parallelism:        s.opts.Parallelism,
-		NoPOR:              s.opts.NoPOR,
-		NoSymmetry:         s.opts.NoSymmetry,
-		MCCompress:         s.opts.MCCompress,
 		Proof:              s.opts.Proof,
 		Cancel:             s.opts.Cancel,
 		Verbose:            s.opts.Verbose,
@@ -305,8 +291,13 @@ func Synthesize(src, target string, opts Options) (*Result, error) {
 
 // ModelCheck verifies one concrete candidate of the sketch over all
 // thread interleavings, returning nil when it is correct and a
-// counterexample description otherwise.
+// counterexample description otherwise. A candidate shorter than the
+// sketch's hole list is zero-padded; a longer one, or a value outside
+// its hole's range, is an error.
 func (s *Sketch) ModelCheck(cand Candidate) (ok bool, counterexample string, err error) {
+	if err := s.checkCandidate(cand); err != nil {
+		return false, "", err
+	}
 	prog, err := ir.Lower(s.sk)
 	if err != nil {
 		return false, "", err
@@ -316,8 +307,7 @@ func (s *Sketch) ModelCheck(cand Candidate) (ok bool, counterexample string, err
 		return false, "", err
 	}
 	res, err := mc.Check(layout, cand, mc.Options{
-		MaxStates: s.opts.MCMaxStates, Parallelism: s.opts.Parallelism, NoPOR: s.opts.NoPOR,
-		NoSymmetry: s.opts.NoSymmetry, Compress: s.opts.MCCompress,
+		MaxStates: s.opts.MCMaxStates, Parallelism: s.opts.Parallelism,
 		Cancel: s.opts.Cancel,
 		Tracer: s.opts.Trace, ParentSpan: s.opts.TraceParent,
 	})
@@ -328,6 +318,28 @@ func (s *Sketch) ModelCheck(cand Candidate) (ok bool, counterexample string, err
 		return true, "", nil
 	}
 	return false, res.Trace.Format(prog), nil
+}
+
+// checkCandidate rejects a candidate with more values than the sketch
+// has holes, or with a value outside its hole's range: [0, Choices) for
+// a generator, [0, 2^Bits) for any other hole. The evaluators would
+// otherwise clamp or truncate such a value and check a different
+// candidate than the one asked about.
+func (s *Sketch) checkCandidate(cand Candidate) error {
+	if len(cand) > len(s.sk.Holes) {
+		return fmt.Errorf("candidate has %d values but the sketch's hole count is %d", len(cand), len(s.sk.Holes))
+	}
+	for i, v := range cand {
+		h := s.sk.Holes[i]
+		n := uint64(h.Choices)
+		if h.Kind != desugar.HoleChoice {
+			n = 1 << uint(h.Bits) // 0, no bound, from 64 bits up
+		}
+		if v < 0 || (n != 0 && uint64(v) >= n) {
+			return fmt.Errorf("candidate value %d for hole %d %s is outside [0, %d)", v, i, h.Label, n)
+		}
+	}
+	return nil
 }
 
 // Count parses the program and returns Table 1's |C| for the target.
